@@ -63,6 +63,16 @@ def channel_correlation(
     raise ValueError(f"unknown correlation model {model!r}")
 
 
+def jakes_sum(omegas: np.ndarray, phases: np.ndarray, scale, t: float) -> np.ndarray:
+    """``scale * sum_k exp(j (omega_k t + phi_k))`` over the last (path) axis.
+
+    The one Jakes evaluation: :meth:`JakesFader.value_at` runs it on one
+    fader's paths and :class:`JakesLinkGrid` on a stack of faders, so the
+    two give the same bits.
+    """
+    return scale * np.sum(np.exp(1j * (omegas * t + phases)), axis=-1)
+
+
 class JakesFader:
     """Sum-of-sinusoids Clarke-spectrum fading simulator.
 
@@ -84,9 +94,7 @@ class JakesFader:
 
     def value_at(self, t: float) -> complex:
         """The unit-power fading component at absolute time ``t``."""
-        return complex(
-            self._scale * np.sum(np.exp(1j * (self._omegas * t + self._phases)))
-        )
+        return complex(jakes_sum(self._omegas, self._phases, self._scale, t))
 
 
 class GaussMarkovFader:
@@ -209,3 +217,34 @@ class TimeVaryingLinkChannel:
         """Convolve with the response at time ``t`` (packets are far shorter
         than the coherence time, so one snapshot per packet suffices)."""
         return self.snapshot(t).apply(samples)
+
+
+class JakesLinkGrid:
+    """A grid of Jakes-faded links evaluated at one instant in one pass.
+
+    ``taps_at(t)[i, j]`` is bit-identical to ``links[i][j].taps_at(t)``: the
+    faders' paths are stacked once, and every query is one
+    :func:`jakes_sum` over the whole grid instead of a Python loop over
+    links and taps.
+
+    Args:
+        links: Rows of :class:`TimeVaryingLinkChannel` (e.g. client x AP),
+            all with Jakes faders and the same tap and path counts.
+    """
+
+    def __init__(self, links):
+        flat = [link for row in links for link in row]
+        faders = [fader for link in flat for fader in link.faders]
+        require(flat and all(isinstance(f, JakesFader) for f in faders),
+                "need a non-empty grid of Jakes-faded links")
+        shape = (len(links), len(links[0]), len(flat[0].faders))
+        self._static = np.array([link.static_taps for link in flat]).reshape(shape)
+        self._faded_scale = np.array([link.faded_scale for link in flat]).reshape(shape)
+        self._omegas = np.array([f._omegas for f in faders]).reshape(shape + (-1,))
+        self._phases = np.array([f._phases for f in faders]).reshape(shape + (-1,))
+        self._scale = np.array([f._scale for f in faders]).reshape(shape)
+
+    def taps_at(self, t: float) -> np.ndarray:
+        """(n_rows, n_cols, n_taps) impulse responses at absolute time ``t``."""
+        faded = jakes_sum(self._omegas, self._phases, self._scale, t)
+        return self._static + self._faded_scale * faded

@@ -253,7 +253,11 @@ def snr_reduction_grid(
     snrs = np.atleast_1d(np.asarray(snrs_db, dtype=float))
     precoder, k = zero_forcing_precoder(channels)
     k = np.asarray(k, dtype=float)
-    noise = k[..., None] ** 2 / 10.0 ** (snrs / 10.0)  # (..., S)
+    # the scalar helper's float arithmetic, element by element: libm's
+    # pow(k, 2) there differs from numpy's k * k in the last bit now and then
+    noise = np.array(
+        [[kk**2 / 10.0 ** (s / 10.0) for s in snrs.tolist()] for kk in k.ravel().tolist()]
+    ).reshape(k.shape + snrs.shape)  # (..., S)
 
     eff0 = channels @ precoder  # (..., C, C)
     sig0 = np.abs(np.diagonal(eff0, axis1=-2, axis2=-1)) ** 2

@@ -16,7 +16,8 @@ This module implements that future work:
   admitting a client nearly collinear with another collapses the ZF power
   scalar k for everyone.
 
-Both are callables compatible with ``JointScheduler(grouping=...)``.
+Both are callables compatible with ``JointScheduler(grouping=...)``, which
+passes as ``candidates`` each other client's oldest packet, in FIFO order.
 """
 
 from __future__ import annotations

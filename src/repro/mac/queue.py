@@ -8,10 +8,11 @@ SNR to the client to which that packet is destined."
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -20,15 +21,15 @@ from repro.utils.validation import require
 _sequence = itertools.count()
 
 
-@dataclass
+@dataclass(eq=False)
 class Packet:
-    """One downlink packet.
+    """One downlink packet (compared by identity).
 
     Attributes:
         client: Destination client index.
         size_bytes: Payload size.
         designated_ap: AP index with the strongest SNR to the client.
-        seqno: Monotonic enqueue order (FIFO key).
+        seqno: Monotonic creation order (the packet's identifier).
         retries: Times this packet has been (re)transmitted.
     """
 
@@ -42,6 +43,10 @@ class Packet:
 class DownlinkQueue:
     """FIFO downlink queue replicated at every AP via the backend.
 
+    Stored as one deque of ``(ticket, packet)`` entries per client: the FIFO
+    order is the ticket order, and scheduling reads only each client's front
+    entry, so its cost is O(n_clients) at any backlog depth.
+
     Args:
         client_ap_snr_db: (n_clients, n_aps) SNR map used to designate APs.
     """
@@ -51,7 +56,8 @@ class DownlinkQueue:
         require(snr.ndim == 2, "need an (n_clients, n_aps) SNR map")
         self.client_ap_snr_db = snr
         self.n_clients, self.n_aps = snr.shape
-        self._queue: Deque[Packet] = deque()
+        self._fifos: List[Deque[Tuple[int, Packet]]] = [deque() for _ in snr]
+        self._tickets = itertools.count()
 
     def designated_ap(self, client: int) -> int:
         """AP with the strongest SNR to ``client``."""
@@ -65,26 +71,32 @@ class DownlinkQueue:
             size_bytes=size_bytes,
             designated_ap=self.designated_ap(client),
         )
-        self._queue.append(packet)
+        self._fifos[client].append((next(self._tickets), packet))
         return packet
 
     def requeue(self, packet: Packet) -> None:
         """Return an unACKed packet for a future joint transmission (§9)."""
         packet.retries += 1
-        self._queue.append(packet)
+        self._fifos[packet.client].append((next(self._tickets), packet))
+
+    def heads(self) -> List[Packet]:
+        """Each client's oldest packet, oldest first."""
+        return [packet for _, packet in sorted(f[0] for f in self._fifos if f)]
 
     def head(self) -> Optional[Packet]:
         """The packet MegaMIMO always transmits next (head of the queue)."""
-        return self._queue[0] if self._queue else None
+        return next(iter(self.heads()), None)
 
     def remove(self, packet: Packet) -> None:
-        self._queue.remove(packet)
+        fifo = self._fifos[packet.client]
+        entry = next((e for e in fifo if e[1] is packet), None)
+        fifo.remove(entry)  # ValueError when the packet is not queued
 
     def pending_for(self, client: int) -> List[Packet]:
-        return [p for p in self._queue if p.client == client]
+        return [packet for _, packet in self._fifos[client]]
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return sum(map(len, self._fifos))
 
     def __iter__(self):
-        return iter(self._queue)
+        return (packet for _, packet in heapq.merge(*self._fifos))

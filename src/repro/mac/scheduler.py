@@ -6,9 +6,9 @@ transmission.  The lead AP then chooses additional packets for joint
 transmission with this packet in order to maximize the network throughput."
 
 The paper leaves the grouping heuristic open ([43, 33, 42]); we implement
-the natural greedy rule — walk the queue in FIFO order and admit the first
-packet of each distinct client until the stream budget (total AP antennas)
-is filled — plus a hook for custom heuristics.
+the natural greedy rule — admit the first packet of each distinct client in
+FIFO order (the oldest client heads) until the stream budget (total AP
+antennas) is filled — plus a hook for custom heuristics.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class JointScheduler:
         max_streams: Stream budget — the total number of AP antennas in the
             joint transmission (N single-antenna APs -> N streams).
         grouping: Optional custom heuristic ``f(head, candidates, budget) ->
-            packets`` replacing the greedy FIFO rule.
+            packets`` replacing the greedy FIFO rule; ``candidates`` is each
+            other client's oldest packet, in FIFO order.
     """
 
     def __init__(
@@ -69,23 +70,15 @@ class JointScheduler:
         The selected packets are removed from the queue; unACKed packets
         should be handed back via ``queue.requeue``.
         """
-        head = self.queue.head()
-        if head is None:
+        heads = self.queue.heads()
+        if not heads:
             return None
-        candidates = [p for p in self.queue if p is not head]
-        if self.grouping is not None:
-            chosen = self.grouping(head, candidates, self.max_streams)
-            require(head in chosen, "grouping must include the head packet")
+        head = heads[0]
+        if self.grouping is None:
+            chosen = heads[: self.max_streams]
         else:
-            chosen = [head]
-            seen = {head.client}
-            for packet in candidates:
-                if len(chosen) >= self.max_streams:
-                    break
-                if packet.client in seen:
-                    continue
-                chosen.append(packet)
-                seen.add(packet.client)
+            chosen = self.grouping(head, heads[1:], self.max_streams)
+            require(head in chosen, "grouping must include the head packet")
         for packet in chosen:
             self.queue.remove(packet)
         return TransmissionGroup(lead_ap=head.designated_ap, packets=chosen)

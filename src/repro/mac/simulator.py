@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.channel.timevarying import TimeVaryingLinkChannel
+from repro.channel.timevarying import JakesLinkGrid, TimeVaryingLinkChannel
 from repro.constants import (
     COHERENCE_TIME_S,
     MAC_EFFICIENCY,
@@ -36,7 +36,7 @@ from repro.mac.rate import EffectiveSnrRateSelector
 from repro.mac.scheduler import JointScheduler
 from repro.obs import metrics, timeseries, trace
 from repro.phy.mcs import Mcs
-from repro.sim.fastsim import SyncErrorModel
+from repro.sim.fastsim import SyncErrorModel, taps_to_channel_tensor, zf_sinr_db
 from repro.sim.overhead import packet_airtime_s, sounding_airtime_s
 from repro.utils.rng import ensure_rng
 from repro.utils.units import db_to_linear, linear_to_db
@@ -227,10 +227,13 @@ class DownlinkSimulator:
                 for c in range(config.n_clients)
             ]
         )
+        self._grid = JakesLinkGrid(self._links)
+        self._snapshot_t, self._snapshot = None, None  # last instant evaluated
         self.queue = DownlinkQueue(snr_map)
         self.scheduler = JointScheduler(self.queue, max_streams=config.n_aps)
         self._arrival_times: Dict[int, float] = {}
         self._sounded_channels: Optional[np.ndarray] = None
+        self._precoders: Optional[np.ndarray] = None
         self._mcs: Optional[Mcs] = None
         self._effective_snr_db: float = -np.inf
         self._extra_backoff_db: float = 0.0
@@ -259,14 +262,12 @@ class DownlinkSimulator:
     # -- channel bookkeeping -------------------------------------------------
 
     def _channel_tensor(self, t: float) -> np.ndarray:
-        """(N_BINS, n_clients, n_aps) channel snapshot at time ``t``."""
-        cfg = self.config
-        out = np.empty((self.N_BINS, cfg.n_clients, cfg.n_aps), dtype=complex)
-        for c in range(cfg.n_clients):
-            for a in range(cfg.n_aps):
-                response = self._links[c][a].snapshot(t).frequency_response(64)
-                out[:, c, a] = response[: self.N_BINS]
-        return out
+        """(N_BINS, n_clients, n_aps) channel snapshot at time ``t``; the
+        streams of a burst share one instant, hence one snapshot."""
+        if t != self._snapshot_t:
+            taps = taps_to_channel_tensor(self._grid.taps_at(t), self.N_BINS)
+            self._snapshot, self._snapshot_t = np.ascontiguousarray(taps), t
+        return self._snapshot
 
     def _sound(self, t: float) -> None:
         """Run a channel-measurement phase: store estimates, pick the MCS."""
@@ -287,7 +288,7 @@ class DownlinkSimulator:
             self.scheduler.grouping = ThroughputAwareGrouping(
                 self._sounded_channels, self.selector
             )
-        _, k = zero_forcing_precoder_wideband(self._sounded_channels)
+        self._precoders, k = zero_forcing_precoder_wideband(self._sounded_channels)
         self._effective_snr_db = float(linear_to_db(k**2)) - cfg.rate_backoff_db
         self._select_mcs()
 
@@ -322,12 +323,8 @@ class DownlinkSimulator:
             return False
         with trace.span("phase_sync", client=client, t=t) as span:
             true = self._channel_tensor(t)
-            from repro.sim.fastsim import joint_zf_sinr_db
-
             errors = self.error_model.phase_errors(self.config.n_aps, self._rng)
-            sinr = joint_zf_sinr_db(
-                true, phase_errors=errors, est_channels=self._sounded_channels
-            )
+            sinr = zf_sinr_db(true, self._precoders, 1.0, errors)
             eff = float(np.mean(sinr[client]))
             success = eff >= self._mcs.min_snr_db
             max_err = float(np.max(np.abs(errors)))
@@ -509,7 +506,7 @@ class DownlinkSimulator:
                                 retries=packet.retries,
                             )
                         )
-                    if not success:
+                    else:
                         n_fail += 1
                         self._m_failures.inc()
                         self._m_retries.inc()

@@ -215,36 +215,35 @@ def joint_zf_sinr_db(
             defaults to the true channels.
 
     Returns:
-        (..., n_rx, n_bins) SINR in dB.
+        (..., n_rx, n_bins) C-contiguous SINR in dB: the ZF precoders of
+        ``est_channels`` applied through :func:`zf_sinr_db`.
+    """
+    est = channels if est_channels is None else est_channels
+    precoders, _ = zero_forcing_precoder_wideband(est)
+    return zf_sinr_db(channels, precoders, noise_power, phase_errors)
 
-    The 3-D input keeps the loopy per-subcarrier reference implementation;
-    batched inputs take one broadcast-matmul pass whose per-trial results
-    are bit-identical to the reference (the backend-equivalence harness and
-    the batch-of-1 property tests pin this).
+
+def zf_sinr_db(
+    channels: np.ndarray,
+    precoders: np.ndarray,
+    noise_power: float = 1.0,
+    phase_errors: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`joint_zf_sinr_db` for given (..., n_bins, n_tx, n_rx) precoders,
+    e.g. ones computed once per sounding and reused for every packet.
+
+    One broadcast-matmul pass serves a tensor and a stack alike, so batched
+    results are bit-identical to unbatched ones; the result is C-contiguous
+    so that reductions over it sum in the same order for any batch shape.
     """
     channels = np.asarray(channels, dtype=complex)
-    est = channels if est_channels is None else np.asarray(est_channels, dtype=complex)
-    n_tx = channels.shape[-1]
-    rotation = (
-        np.exp(1j * np.asarray(phase_errors, dtype=float))
-        if phase_errors is not None
-        else np.ones(n_tx)
-    )
-    precoders, _ = zero_forcing_precoder_wideband(est)
-    if channels.ndim == 3:
-        n_bins, n_rx, _ = channels.shape
-        sinr = np.empty((n_rx, n_bins))
-        for b in range(n_bins):
-            eff = (channels[b] * rotation[None, :]) @ precoders[b]
-            signal = np.abs(np.diag(eff)) ** 2
-            interference = np.sum(np.abs(eff) ** 2, axis=1) - signal
-            sinr[:, b] = signal / (interference + noise_power)
-        return linear_to_db(sinr)
+    phases = np.zeros(channels.shape[-1]) if phase_errors is None else phase_errors
+    rotation = np.exp(1j * np.asarray(phases, dtype=float))
     eff = (channels * rotation[..., None, None, :]) @ precoders
     signal = np.abs(np.diagonal(eff, axis1=-2, axis2=-1)) ** 2  # (..., B, R)
     interference = np.sum(np.abs(eff) ** 2, axis=-1) - signal
     sinr = signal / (interference + noise_power)
-    return linear_to_db(np.moveaxis(sinr, -1, -2))
+    return linear_to_db(np.ascontiguousarray(np.moveaxis(sinr, -1, -2)))
 
 
 def nulling_inr_db(
@@ -420,9 +419,7 @@ def sinr_grid_kernel_batch(params, seeds):
     scale = np.abs(channels) / np.sqrt(est_snr)[..., None, :, :]
     est = channels + np.stack(est_noise) * scale
     _OBS_ESTIMATES.inc(len(seeds))
-    sinr_db = np.ascontiguousarray(
-        joint_zf_sinr_db(channels, phase_errors=np.stack(errors), est_channels=est)
-    )
+    sinr_db = joint_zf_sinr_db(channels, phase_errors=np.stack(errors), est_channels=est)
     return [
         {
             "mean_sinr_db": float(np.mean(sinr_db[t])),

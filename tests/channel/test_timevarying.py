@@ -6,10 +6,12 @@ import pytest
 from repro.channel.timevarying import (
     GaussMarkovFader,
     JakesFader,
+    JakesLinkGrid,
     TimeVaryingLinkChannel,
     channel_correlation,
     doppler_from_coherence,
 )
+from repro.sim.fastsim import taps_to_channel_tensor
 
 
 class TestCorrelationModels:
@@ -150,3 +152,43 @@ class TestTimeVaryingLink:
         assert np.allclose(early, link.taps_at(0.0)[0], atol=1e-9)
         assert np.allclose(late, link.taps_at(0.05)[0], atol=1e-9)
         assert not np.allclose(early, late)
+
+
+class TestJakesLinkGrid:
+    """Stacked evaluation of many links: the same bits as link by link."""
+
+    @pytest.fixture
+    def links(self):
+        rng = np.random.default_rng(21)
+        return [
+            [
+                TimeVaryingLinkChannel.create(
+                    average_gain=float(rng.uniform(10, 300)), coherence_time_s=0.05,
+                    n_taps=2, rician_k=7.0, rng=rng,
+                )
+                for _ in range(4)
+            ]
+            for _ in range(3)
+        ]
+
+    @pytest.mark.parametrize("t", [0.0, 1e-4, 0.0173, 0.4999])
+    def test_taps_match_per_link(self, links, t):
+        taps = JakesLinkGrid(links).taps_at(t)
+        assert taps.shape == (3, 4, 2)
+        for c, row in enumerate(links):
+            for a, link in enumerate(row):
+                np.testing.assert_array_equal(taps[c, a], link.taps_at(t))
+
+    @pytest.mark.parametrize("t", [0.0, 0.0173, 0.4999])
+    def test_stacked_snapshot_matches_per_link_response(self, links, t):
+        tensor = taps_to_channel_tensor(JakesLinkGrid(links).taps_at(t), 16)
+        assert tensor.shape == (16, 3, 4)
+        for c, row in enumerate(links):
+            for a, link in enumerate(row):
+                response = link.snapshot(t).frequency_response(64)[:16]
+                np.testing.assert_array_equal(tensor[:, c, a], response)
+
+    def test_rejects_non_jakes_links(self):
+        link = TimeVaryingLinkChannel.create(1.0, 0.05, rng=0, fader="gauss-markov")
+        with pytest.raises(ValueError):
+            JakesLinkGrid([[link]])

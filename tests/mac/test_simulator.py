@@ -153,3 +153,96 @@ class TestEventTrace:
         delivers = sum(e.kind == "deliver" for e in trace.events)
         assert fails == trace.n_failures
         assert delivers == len(trace.delivered)
+
+
+#: Exact outputs of 4 AP x 4 client runs, recorded with the single-deque
+#: queue that rebuilt the channel tensor and ZF precoders for every stream.
+#: The per-client queue, the one-snapshot-per-burst channel model and the
+#: precoders reused from the sounding must reproduce them bit for bit.
+PINNED_RUNS = {
+    "backlog_s3": (
+        dict(duration_s=0.1, seed=3),
+        dict(
+            n_transmissions=120, n_failures=7, n_soundings=4,
+            goodput=[3000000.0, 3600000.0, 3360000.0, 3600000.0],
+            airtime={
+                "contention": 0.0029999999999999988,
+                "data": 0.08946000000000004,
+                "idle": 0.0,
+                "sounding": 0.009770666666666665,
+            },
+            latency_sum=7.09892133333334,
+        ),
+    ),
+    "backlog_s7": (
+        dict(duration_s=0.1, seed=7),
+        dict(
+            n_transmissions=284, n_failures=0, n_soundings=4,
+            goodput=[8520000.0, 8520000.0, 8520000.0, 8520000.0],
+            airtime={
+                "contention": 0.007100000000000006,
+                "data": 0.0839220000000001,
+                "idle": 0.0,
+                "sounding": 0.009770666666666665,
+            },
+            latency_sum=14.709557333333336,
+        ),
+    ),
+    "poisson_s3": (
+        dict(duration_s=0.2, arrival_rate_pps=300.0, seed=3),
+        dict(
+            n_transmissions=239, n_failures=13, n_soundings=8,
+            goodput=[3240000.0, 3360000.0, 4020000.0, 2940000.0],
+            airtime={
+                "contention": 0.007700000000000007,
+                "data": 0.14734733333333327,
+                "idle": 0.025943711598760993,
+                "sounding": 0.01954133333333333,
+            },
+            latency_sum=4.009950755847212,
+        ),
+    ),
+    "poisson_s7": (
+        dict(duration_s=0.2, arrival_rate_pps=300.0, seed=7),
+        dict(
+            n_transmissions=237, n_failures=8, n_soundings=8,
+            goodput=[3420000.0, 3000000.0, 3720000.0, 3600000.0],
+            airtime={
+                "contention": 0.01239999999999998,
+                "data": 0.1535680000000003,
+                "idle": 0.015198465064626895,
+                "sounding": 0.01954133333333333,
+            },
+            latency_sum=0.6086482405111349,
+        ),
+    ),
+    "throughput_s5": (
+        dict(duration_s=0.1, grouping="throughput", seed=5),
+        dict(
+            n_transmissions=201, n_failures=6, n_soundings=4,
+            goodput=[7800000.0, 7560000.0, 8040000.0, 0.0],
+            airtime={
+                "contention": 0.0067000000000000046,
+                "data": 0.08452733333333344,
+                "idle": 0.0,
+                "sounding": 0.009770666666666665,
+            },
+            latency_sum=10.497688666666669,
+        ),
+    ),
+}
+
+
+class TestBitIdentityPins:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_outputs_match_pins(self, name):
+        overrides, expected = PINNED_RUNS[name]
+        trace = DownlinkSimulator(
+            LinkLayerConfig(n_aps=4, n_clients=4, **overrides)
+        ).run()
+        assert trace.n_transmissions == expected["n_transmissions"]
+        assert trace.n_failures == expected["n_failures"]
+        assert trace.n_soundings == expected["n_soundings"]
+        assert trace.per_client_goodput_bps.tolist() == expected["goodput"]
+        assert dict(sorted(trace.airtime.items())) == expected["airtime"]
+        assert sum(d.latency_s for d in trace.delivered) == expected["latency_sum"]

@@ -164,9 +164,11 @@ class TestNullOverhead:
 
         Mirrors ``benchmarks/test_perf_phy.py``'s OFDM symbol round-trip:
         compares the bare loop against the same loop wrapped in disabled
-        spans, using best-of-N timings to suppress scheduler noise.  The
-        absolute-cost bound (< 5 us per disabled span, ~50x the typical
-        cost) keeps the assertion robust on a loaded CI machine.
+        spans.  The two variants alternate repetition by repetition and the
+        fastest of each is compared, so a machine slowdown lasting a few
+        repetitions hits both alike.  The absolute-cost bound (< 5 us per
+        disabled span, ~50x the typical cost) keeps the assertion robust on
+        a loaded CI machine.
         """
         from repro.phy.ofdm import OfdmDemodulator, OfdmModulator
 
@@ -188,17 +190,16 @@ class TestNullOverhead:
                     samples = mod.modulate_symbol(data, symbol_index=3)
                     demod.demodulate_symbol(samples, channel, symbol_index=3)
 
-        def best_of(fn, reps=5):
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def timed(fn):
+            t0 = time.perf_counter()
+            fn()
+            return time.perf_counter() - t0
 
         bare()  # warm caches before timing either variant
-        t_bare = best_of(bare)
-        t_span = best_of(spanned)
+        t_bare = t_span = float("inf")
+        for _ in range(7):
+            t_bare = min(t_bare, timed(bare))
+            t_span = min(t_span, timed(spanned))
         per_span = (t_span - t_bare) / n
         assert t_span < t_bare * 1.05 or per_span < 5e-6, (
             f"null-span overhead too high: {t_span / t_bare:.3f}x "

@@ -1,12 +1,16 @@
 """Property-based tests of the link-layer invariants."""
 
+from collections import deque
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.mac.grouping import GreedyFifoGrouping, ThroughputAwareGrouping
 from repro.mac.queue import DownlinkQueue
 from repro.mac.rate import EffectiveSnrRateSelector, select_mcs_for_snr
 from repro.mac.scheduler import JointScheduler
 from repro.phy.mcs import ALL_MCS
+from repro.sim.fastsim import build_channel_tensor
 
 client_sequences = st.lists(st.integers(0, 5), min_size=1, max_size=20)
 
@@ -66,6 +70,101 @@ class TestSchedulerInvariants:
             total += len(group.packets)
         assert total == len(clients)
         assert len(q) == 0
+
+
+class ReferenceFifo:
+    """The single-deque queue and scheduler the per-client queue replaced:
+    one FIFO of every packet, scanned in full for each group."""
+
+    def __init__(self, budget, grouping=None):
+        self.packets = deque()
+        self.budget = budget
+        self.grouping = grouping
+
+    def remove(self, packet):
+        for i, queued in enumerate(self.packets):
+            if queued is packet:
+                del self.packets[i]
+                return
+
+    def next_group(self):
+        if not self.packets:
+            return None
+        head = self.packets[0]
+        candidates = [p for p in self.packets if p is not head]
+        if self.grouping is not None:
+            chosen = self.grouping(head, candidates, self.budget)
+        else:
+            chosen = [head]
+            seen = {head.client}
+            for packet in candidates:
+                if len(chosen) >= self.budget:
+                    break
+                if packet.client in seen:
+                    continue
+                chosen.append(packet)
+                seen.add(packet.client)
+        for packet in chosen:
+            self.remove(packet)
+        return chosen
+
+
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), st.integers(0, 5)),
+        st.tuples(st.just("requeue"), st.integers(0, 1000)),
+        st.tuples(st.just("remove"), st.integers(0, 1000)),
+        st.tuples(st.just("next_group"), st.just(0)),
+    ),
+    max_size=80,
+)
+
+
+def make_grouping(name):
+    if name == "greedy":
+        return GreedyFifoGrouping()
+    if name == "throughput":
+        channels = build_channel_tensor(np.full((6, 4), 20.0), np.random.default_rng(9))
+        return ThroughputAwareGrouping(channels, EffectiveSnrRateSelector(10e6))
+    return None
+
+
+class TestQueueMatchesSingleFifo:
+    @given(ops=queue_ops, budget=st.integers(1, 6),
+           grouping=st.sampled_from(["default", "greedy", "throughput"]))
+    @settings(max_examples=80, deadline=None)
+    def test_same_groups_as_reference(self, ops, budget, grouping):
+        """Any enqueue/requeue/remove/next_group sequence yields the same
+        groups, the same FIFO order and the same lengths as one deque."""
+        rule = make_grouping(grouping)
+        q = fresh_queue()
+        scheduler = JointScheduler(q, max_streams=budget, grouping=rule)
+        ref = ReferenceFifo(budget, rule)
+        out = []  # packets taken out and not yet requeued
+        for op, arg in ops:
+            if op == "enqueue":
+                ref.packets.append(q.enqueue(arg))
+            elif op == "requeue" and out:
+                packet = out.pop(arg % len(out))
+                q.requeue(packet)
+                ref.packets.append(packet)
+            elif op == "remove" and ref.packets:
+                packet = ref.packets[arg % len(ref.packets)]
+                q.remove(packet)
+                ref.remove(packet)
+                out.append(packet)
+            elif op == "next_group":
+                expected = ref.next_group()
+                group = scheduler.next_group()
+                if expected is None:
+                    assert group is None
+                    continue
+                assert group.packets == expected  # identity, in order
+                assert group.lead_ap == expected[0].designated_ap
+                out.extend(expected)
+            assert list(q) == list(ref.packets)
+            assert len(q) == len(ref.packets)
+            assert q.head() is (ref.packets[0] if ref.packets else None)
 
 
 class TestRateSelectorInvariants:

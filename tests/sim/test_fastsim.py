@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.beamforming import zero_forcing_precoder_wideband
 from repro.sim.fastsim import (
     SyncErrorModel,
     build_channel_tensor,
@@ -13,6 +14,7 @@ from repro.sim.fastsim import (
     nulling_inr_db,
     unicast_snr_db,
 )
+from repro.utils.units import linear_to_db
 
 
 class TestChannelTensor:
@@ -66,6 +68,58 @@ class TestJointZf:
         common = joint_zf_sinr_db(ch, phase_errors=np.array([0.2, 0.2]))
         clean = joint_zf_sinr_db(ch)
         assert np.allclose(common, clean, atol=1e-6)
+
+
+def per_bin_reference(channels, est, errors, noise_power=1.0):
+    """The per-subcarrier loop joint_zf_sinr_db used for 3-D inputs."""
+    rotation = np.exp(1j * errors)
+    precoders, _ = zero_forcing_precoder_wideband(est)
+    n_bins, n_rx, _ = channels.shape
+    sinr = np.empty((n_rx, n_bins))
+    for b in range(n_bins):
+        eff = (channels[b] * rotation[None, :]) @ precoders[b]
+        signal = np.abs(np.diag(eff)) ** 2
+        interference = np.sum(np.abs(eff) ** 2, axis=1) - signal
+        sinr[:, b] = signal / (interference + noise_power)
+    return linear_to_db(sinr)
+
+
+class TestJointZfLayout:
+    """One stacked formula serves single tensors and batches, bit for bit."""
+
+    @pytest.fixture(params=[2, 4, 8], ids=lambda n: f"n{n}")
+    def case(self, request):
+        n = request.param
+        rng = np.random.default_rng(10 + n)
+        snrs = draw_band_snrs((18.0, 22.0), n, n, rng)
+        ch = build_channel_tensor(snrs, rng)  # a strided (moveaxis) view
+        est = SyncErrorModel().corrupt_estimate(ch, snrs, rng)
+        errors = SyncErrorModel().phase_errors(n, rng)
+        return ch, est, errors
+
+    def test_3d_equals_batch_of_one(self, case):
+        ch, est, errors = case
+        single = joint_zf_sinr_db(ch, phase_errors=errors, est_channels=est)
+        batch = joint_zf_sinr_db(ch[None], phase_errors=errors[None],
+                                 est_channels=est[None])
+        np.testing.assert_array_equal(single, batch[0])
+
+    def test_result_is_c_contiguous(self, case):
+        ch, est, errors = case
+        for out in (joint_zf_sinr_db(ch, phase_errors=errors, est_channels=est),
+                    joint_zf_sinr_db(ch[None], phase_errors=errors[None],
+                                     est_channels=est[None])):
+            assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("contiguous", [False, True])
+    def test_matches_per_bin_reference(self, case, contiguous):
+        ch, est, errors = case
+        if contiguous:  # the simulator's snapshots are C-contiguous
+            ch = np.ascontiguousarray(ch)
+        np.testing.assert_array_equal(
+            joint_zf_sinr_db(ch, phase_errors=errors, est_channels=est),
+            per_bin_reference(ch, est, errors),
+        )
 
 
 class TestNulling:
