@@ -29,7 +29,7 @@ from pathlib import Path
 
 RUNS_DIR = Path("blackbox_runs")
 SWEEP = [
-    "figure", "6", "--scale", "0.2", "--workers", "2", "--backend", "thread",
+    "figure", "6", "--scale", "0.2", "--workers", "2", "--backend", "process",
     "--ledger", str(RUNS_DIR),
 ]
 

@@ -134,14 +134,16 @@ def _add_runtime_options(p: argparse.ArgumentParser) -> None:
     group = p.add_argument_group("runtime")
     group.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for Monte-Carlo sweeps (default 1 = serial; "
+        help="worker processes for Monte-Carlo sweeps (default 1 = in-parent; "
              "results are bit-identical for any N)",
     )
     group.add_argument(
         "--backend", choices=BACKENDS, default=None,
-        help="sweep execution backend (default: process pool when "
-             "--workers > 1, else serial; 'auto' picks the batched kernel "
-             "when one is registered — see docs/parallelism.md)",
+        help="sweep execution backend: 'batched' runs chunks in-parent, "
+             "'process' on a pool of --workers, 'auto' picks the pool only "
+             "for --workers > 1 on >= 2 CPUs and large sweeps (default: "
+             "process when --workers > 1, else batched; see "
+             "docs/parallelism.md)",
     )
     group.add_argument(
         "--checkpoint", metavar="FILE", default=None,
@@ -315,16 +317,6 @@ def _add_obs_parser(subparsers, common) -> None:
     bshow.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the full bundle as JSON")
 
-    b = obs_sub.add_parser(
-        "bench", parents=[common], help="benchmark-history queries"
-    )
-    bench_sub = b.add_subparsers(dest="bench_command", required=True)
-    bt = bench_sub.add_parser("trend", parents=[common],
-                              help="per-metric drift across bench ledger runs")
-    bt.add_argument("--metric", metavar="GLOB", default=None,
-                    help="only metrics matching this glob")
-    bt.add_argument("-n", "--limit", type=int, default=20,
-                    help="consider the last N bench runs (default 20)")
 
 
 def _add_lint_parser(subparsers, common) -> None:
@@ -661,46 +653,6 @@ def _run_obs_regress(args) -> int:
     return R.EXIT_OK if report.passed else R.EXIT_BREACH
 
 
-def _run_obs_bench_trend(args) -> int:
-    from fnmatch import fnmatchcase
-
-    from repro.obs.ledger import Ledger
-
-    ledger = Ledger(args.ledger)
-    records = list(ledger.records(command="bench"))[-args.limit:]
-    if not records:
-        logger.error("no bench runs in %s (run scripts/bench_sweeps.py)",
-                     ledger.path)
-        return 1
-    names = sorted({name for r in records for name in r.metrics})
-    if args.metric:
-        names = [n for n in names if fnmatchcase(n, args.metric)]
-    # newest value per metric, for the speedup rows' overhead columns
-    latest: dict = {}
-    for r in records:
-        latest.update(r.metrics)
-    print(f"{len(records)} bench runs, {records[0].run_id} .. "
-          f"{records[-1].run_id}")
-    print(f"{'metric':<36} {'n':>3} {'first':>10} {'last':>10} "
-          f"{'delta':>10} {'rel':>8} {'disp%':>7} {'ser%':>7}")
-    for name in names:
-        series = [r.metrics[name] for r in records if name in r.metrics]
-        first, last = series[0], series[-1]
-        rel = f"{(last - first) / abs(first):+.1%}" if first else "-"
-        # a speedup row explains itself with its workload's latest
-        # dispatch/serialization share of pool capacity
-        disp = ser = "-"
-        if name.endswith(".speedup"):
-            base = name[: -len(".speedup")]
-            disp_frac = latest.get(base + ".dispatch_frac")
-            ser_frac = latest.get(base + ".serialization_frac")
-            disp = f"{disp_frac:.1%}" if disp_frac is not None else "-"
-            ser = f"{ser_frac:.1%}" if ser_frac is not None else "-"
-        print(f"{name:<36} {len(series):>3d} {first:>10.4g} {last:>10.4g} "
-              f"{last - first:>+10.4g} {rel:>8} {disp:>7} {ser:>7}")
-    return 0
-
-
 def _run_obs_profile(args) -> int:
     from fnmatch import fnmatchcase
 
@@ -841,8 +793,6 @@ def _run_obs(args) -> int:
         return _run_obs_watch(args)
     if args.obs_command == "blackbox":
         return _run_obs_blackbox(args)
-    if args.obs_command == "bench":
-        return _run_obs_bench_trend(args)
     return 2  # unreachable: argparse enforces the choices
 
 
@@ -859,8 +809,8 @@ def _dispatch(args, ctx: RunContext) -> int:
         logger.error("delete the file or rerun without --resume to start fresh")
         return 1
     except SweepError as exc:
-        # e.g. --backend batched on a sweep without a registered batched
-        # twin, or trials lost to a stall the retry path could not cover
+        # e.g. a kernel that returned the wrong number of results, or
+        # trials lost to a stall the retry path could not cover
         from repro.obs import blackbox
 
         blackbox.write_crash_bundle(

@@ -57,7 +57,7 @@ class RunRecord:
     Attributes:
         run_id: Unique, time-sortable identifier.
         ts: Unix time the run started.
-        command: CLI command (``figure``, ``simulate``, ``bench``, ...).
+        command: CLI command (``figure``, ``simulate``, ``ablation``, ...).
         argv: The raw argument vector, for exact replay.
         status: ``"ok"`` or ``"error"`` (non-zero exit / exception).
         duration_s: Wall-clock duration of the run.

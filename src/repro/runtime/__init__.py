@@ -4,9 +4,13 @@ Public surface:
 
 * :func:`run_sweep` / :class:`CellSpec` / :class:`SweepResult` — the
   backend-selecting sweep engine (:mod:`repro.runtime.engine`).
-* :data:`BACKENDS` / :func:`resolve_backend` /
-  :func:`register_batched_kernel` / :func:`batched_kernel_for` — the
-  execution-backend layer (serial / thread / process / batched / auto).
+* :data:`BACKENDS` / :func:`resolve_backend` — the execution-backend
+  layer (in-parent ``batched`` / ``process`` pool / ``auto``).  Every
+  kernel is batch-first, ``kernel(params, seeds) -> [result per seed]``,
+  and runs on every backend.
+* :func:`run_chunk` / :func:`run_chunk_batched` — one work item: the
+  instrumented unit every backend and the retry path run, and the single
+  kernel call inside it.
 * :func:`seed_sequence` / :func:`task_rng` / :func:`spawn_key` — per-task
   seed derivation (:mod:`repro.runtime.seeding`).
 * Checkpoint plumbing (:mod:`repro.runtime.checkpoint`).
@@ -36,14 +40,11 @@ from repro.runtime.engine import (
     SweepError,
     SweepResult,
     assemble_results,
-    batched_kernel_for,
     drain_overheads,
     iter_chunks,
-    register_batched_kernel,
     resolve_backend,
     run_chunk,
     run_chunk_batched,
-    run_chunk_instrumented,
     run_sweep,
 )
 from repro.runtime.faults import HANG_CHUNK_ENV, HangCancelled
@@ -74,15 +75,12 @@ __all__ = [
     "WORKER_ENV_FLAG",
     "watchdog_enabled",
     "assemble_results",
-    "batched_kernel_for",
     "drain_overheads",
     "iter_chunks",
     "load_completed",
-    "register_batched_kernel",
     "resolve_backend",
     "run_chunk",
     "run_chunk_batched",
-    "run_chunk_instrumented",
     "run_sweep",
     "seed_sequence",
     "spawn_key",

@@ -1,23 +1,27 @@
-"""Deterministic process-pool sweep engine.
+"""Deterministic sweep engine: in-parent or on a process pool.
 
 Every figure reproduction and ablation is an embarrassingly parallel Monte
 Carlo sweep: a grid of *cells* (one per parameter combination), each
-running ``n_trials`` independent draws of a pure kernel function
+running ``n_trials`` independent draws of a pure, batch-first kernel
 
-    kernel(params, seed) -> result
+    kernel(params, seeds) -> [result per seed]
 
-where ``seed`` is a ``numpy.random.SeedSequence`` derived from
+where each seed is a ``numpy.random.SeedSequence`` derived from
 ``(master_seed, sweep_name, cell_index, trial_index)`` — see
-:mod:`repro.runtime.seeding`.  Because the stream is keyed on the task
-coordinate and not on scheduling, the aggregated output is bit-identical
-across ``workers=1``, any pool size, any chunking, and checkpoint/resume.
+:mod:`repro.runtime.seeding`.  A kernel call covers one chunk of trials
+(a scalar call is a batch of one), and each trial's result depends only
+on its own seed.  Because the stream is keyed on the task coordinate and
+not on scheduling, the aggregated output is bit-identical across
+backends, any pool size, any chunking, and checkpoint/resume.
 
 Execution model:
 
-* trials are sharded into ``(cell, trial-chunk)`` work items;
-* ``workers > 1`` dispatches chunks to a ``ProcessPoolExecutor`` (stdlib
-  only, ``fork`` or ``spawn`` both fine: kernels are importable top-level
-  functions and params are picklable);
+* trials are sharded into ``(cell, trial-chunk)`` work items, and every
+  work item is one :func:`run_chunk` call;
+* the ``batched`` backend runs the chunks in the parent; ``process``
+  dispatches them to a ``ProcessPoolExecutor`` (stdlib only, ``fork`` or
+  ``spawn`` both fine: kernels are importable top-level functions and
+  params are picklable);
 * results are normalized through :func:`repro.obs.events.jsonable` and
   re-ordered by ``(cell, trial)`` before aggregation, so completion order
   cannot leak into the output;
@@ -25,7 +29,7 @@ Execution model:
   the pool broke — is retried *serially in the parent process*, recorded
   through ``repro.obs`` (``runtime.chunk_failures`` /
   ``runtime.serial_retries`` counters and a trace event);
-* ``workers=1`` never touches multiprocessing at all;
+* in-parent execution never touches multiprocessing at all;
 * an optional JSONL checkpoint persists each completed chunk, and
   ``resume=True`` skips chunks already on disk (header-validated);
 * every chunk completion feeds a :class:`repro.obs.progress.SweepProgress`
@@ -52,16 +56,10 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
+import signal
 import time
 import tracemalloc
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -80,27 +78,28 @@ from repro.utils.validation import require
 
 logger = get_logger(__name__)
 
-#: Default trials per work item; small enough to load-balance, large enough
-#: to amortize task dispatch.
+#: Trials per work item on the process pool; small enough to load-balance
+#: the workers, large enough to amortize task dispatch.
 DEFAULT_CHUNK_SIZE = 4
 
-#: Trials per work item on the batched backend.  Much larger than
-#: DEFAULT_CHUNK_SIZE on purpose: a batched chunk is one stacked-ndarray
-#: kernel call, so the python/dispatch cost is per *chunk* rather than per
-#: trial and bigger chunks amortize it further (load balancing is moot —
-#: batched chunks run in-parent).
+#: Trials per work item on the in-parent ``batched`` backend.  A chunk is
+#: one kernel call, so the python/dispatch cost is per *chunk* rather than
+#: per trial and bigger chunks amortize it further (load balancing is moot
+#: in-parent).
 BATCHED_CHUNK_SIZE = 32
 
 #: The selectable execution backends (see :func:`resolve_backend`).
-BACKENDS = ("auto", "serial", "thread", "process", "batched")
+BACKENDS = ("auto", "batched", "process")
 
-#: ``auto``: minimum total pending trials before a process pool can beat
-#: serial.  Calibrated from the PR-6 overhead envelopes in
-#: ``BENCH_sweeps.json``: pool dispatch + result serialization cost
-#: ~10-15 ms per chunk against per-trial compute of ~1-3 ms, so small
-#: sweeps lose outright (recorded speedups 0.71-0.96x) and only grids in
-#: the many-hundreds of trials can amortize the envelope even with real
-#: cores available.
+#: ``auto``: minimum total trials before it picks the process pool over
+#: in-parent execution.  Measured on a 2-vCPU VM (2 workers, min of 3):
+#: the pool loses on small sweeps of stacked kernels (fig6, 100 trials:
+#: 0.011 s in-parent vs 0.031 s) and ties near 200 trials (sinr_grid, 192
+#: trials: 0.10 s vs 0.095 s), while at 540 trials it wins 1.8-2x (fig8:
+#: 3.6 s vs 2.0 s; fig9: 7.5 s vs 3.7 s).  fig11's per-trial loop already
+#: runs 2x faster on the pool at 180 trials (1.02 s vs 0.53 s), so the
+#: threshold is conservative for loop kernels; recalibrating it per kernel
+#: is separate work.
 POOL_MIN_TRIALS = 512
 
 #: Environment marker set in pool workers (via the pool initializer), so
@@ -108,8 +107,12 @@ POOL_MIN_TRIALS = 512
 WORKER_ENV_FLAG = "REPRO_RUNTIME_WORKER"
 
 #: Set to "1" to sample per-chunk peak memory via ``tracemalloc`` (in the
-#: parent for serial runs, in every pool worker for parallel ones).
+#: parent for in-parent runs, in every pool worker for pool runs).
 MEMORY_ENV_FLAG = "REPRO_PROFILE_MEMORY"
+
+#: A sweep kernel: ``(params, seeds) -> [result, ...]``, one result per
+#: seed, in order, each depending only on its own seed.
+Kernel = Callable[[Any, Sequence[Any]], Sequence[Any]]
 
 #: One work item: ``(cell_index, chunk_index, start_trial, stop_trial)``.
 Task = Tuple[int, int, int, int]
@@ -153,36 +156,6 @@ class SweepError(RuntimeError):
     """A sweep could not produce a complete, consistent result."""
 
 
-#: A batched kernel: ``(params, seeds) -> [result, ...]`` — one result per
-#: seed, in order, each bit-identical (or documented-tolerance-identical)
-#: to ``kernel(params, seed)`` on the matching seed.
-BatchedKernel = Callable[[Any, Sequence[Any]], Sequence[Any]]
-
-_BATCHED_KERNELS: Dict[Callable[[Any, Any], Any], BatchedKernel] = {}
-
-
-def register_batched_kernel(
-    kernel: Callable[[Any, Any], Any], batched: BatchedKernel
-) -> None:
-    """Register ``batched`` as the vectorized twin of scalar ``kernel``.
-
-    The registry is keyed on the kernel function object; modules register
-    their batched twins at import time so :func:`run_sweep` can resolve
-    them for the ``batched``/``auto`` backends.  The contract — enforced by
-    ``tests/runtime/test_backend_equivalence.py`` — is that
-    ``batched(params, seeds)`` returns one result per seed, equal to the
-    scalar kernel's output for that seed.
-    """
-    _BATCHED_KERNELS[kernel] = batched
-
-
-def batched_kernel_for(
-    kernel: Callable[[Any, Any], Any],
-) -> Optional[BatchedKernel]:
-    """The registered batched twin of ``kernel``, or None."""
-    return _BATCHED_KERNELS.get(kernel)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -192,40 +165,34 @@ def _usable_cpus() -> int:
 
 def resolve_backend(
     backend: Optional[str],
-    kernel: Callable[[Any, Any], Any],
+    kernel: Kernel,
     workers: int,
     total_trials: int,
 ) -> str:
     """Map a requested backend to the concrete execution mode of this run.
 
-    * ``None`` keeps the legacy semantics exactly: ``workers > 1`` means the
-      process pool, otherwise serial.
-    * ``"auto"`` prefers a registered batched twin (one core is enough for
-      its speedup); otherwise it picks the process pool only when there are
-      real cores *and* enough trials (``POOL_MIN_TRIALS``) to amortize the
-      PR-6 dispatch envelopes, falling back to serial.
-    * ``"batched"`` requires a registered twin and raises
-      :class:`SweepError` without one.
-    * ``"serial"``, ``"thread"`` and ``"process"`` are taken literally.
+    * ``None``: ``workers > 1`` means the process pool, otherwise
+      ``batched`` (in-parent).
+    * ``"auto"`` picks the process pool only when ``workers > 1``, there
+      are at least two usable CPUs *and* the sweep has at least
+      ``POOL_MIN_TRIALS`` trials to amortize the pool's start-up and
+      dispatch; otherwise ``batched``.
+    * ``"batched"`` and ``"process"`` are taken literally.
+
+    Every kernel runs on every backend, so ``kernel`` does not affect the
+    choice; it is part of the signature for tools that report the
+    resolved backend per sweep.
     """
     if backend is None:
-        return "process" if workers > 1 else "serial"
+        return "process" if workers > 1 else "batched"
     require(
         backend in BACKENDS,
         f"unknown backend {backend!r}; expected one of {BACKENDS}",
     )
     if backend == "auto":
-        if batched_kernel_for(kernel) is not None:
-            return "batched"
         if workers > 1 and _usable_cpus() >= 2 and total_trials >= POOL_MIN_TRIALS:
             return "process"
-        return "serial"
-    if backend == "batched" and batched_kernel_for(kernel) is None:
-        raise SweepError(
-            f"backend 'batched' requested but no batched implementation is "
-            f"registered for kernel {getattr(kernel, '__name__', kernel)!r} "
-            "(see register_batched_kernel)"
-        )
+        return "batched"
     return backend
 
 
@@ -288,8 +255,8 @@ def iter_chunks(n_trials: int, chunk_size: int) -> Iterator[Tuple[int, int, int]
         yield chunk_index, start, min(start + chunk_size, n_trials)
 
 
-def run_chunk(
-    kernel: Callable[[Any, Any], Any],
+def run_chunk_batched(
+    kernel: Kernel,
     sweep: str,
     master_seed: int,
     params: Any,
@@ -297,43 +264,59 @@ def run_chunk(
     start: int,
     stop: int,
 ) -> List[list]:
-    """Run one chunk's trials; returns ``[[trial_index, result], ...]``.
+    """Run one chunk's trials in one kernel call; ``[[trial, result], ...]``.
 
-    This is the unit of work shipped to pool workers, and also the exact
-    code the serial path and the failure-retry path run — one
-    implementation, three call sites, so the equivalence tests compare
-    scheduling only.
+    Derives the chunk's per-trial seeds, calls ``kernel(params, seeds)``
+    once, checks that it returned one result per seed (a mismatch raises
+    :class:`SweepError` on every backend) and normalizes the results
+    through ``jsonable``.
 
     The env-gated hang fault (:func:`repro.runtime.faults
-    .maybe_hang_chunk`) sits before the trial loop: a cancelled hang
+    .maybe_hang_chunk`) sits before the kernel call: a cancelled hang
     raises before any trial runs, so a watchdog-killed chunk never
     produces a partial result.
     """
     faults.maybe_hang_chunk(cell_index, start, stop)
-    out: List[list] = []
-    for t in range(start, stop):
-        seed = seed_sequence(master_seed, sweep, cell_index, t)
-        out.append([t, jsonable(kernel(params, seed))])
-    return out
+    seeds = [
+        seed_sequence(master_seed, sweep, cell_index, t)
+        for t in range(start, stop)
+    ]
+    results = kernel(params, seeds)
+    if len(results) != stop - start:
+        raise SweepError(
+            f"kernel returned {len(results)} results for "
+            f"{stop - start} seeds (cell {cell_index}, trials "
+            f"[{start}, {stop}))"
+        )
+    return [[t, jsonable(r)] for t, r in zip(range(start, stop), results)]
 
 
-def _instrument_chunk(
-    work: Callable[[], List[list]],
+def run_chunk(
+    kernel: Kernel,
     sweep: str,
+    master_seed: int,
+    params: Any,
     cell_index: int,
     chunk_index: int,
-    trials: int,
-    measure_ser: bool,
+    start: int,
+    stop: int,
+    measure_ser: bool = True,
 ) -> Envelope:
-    """Run one chunk of work wrapped in dispatch-overhead accounting.
+    """Run one chunk wrapped in dispatch-overhead accounting.
+
+    This is the unit of work pool workers run, and also the exact code
+    in-parent chunks and failure retries run — one implementation, three
+    call sites, so the equivalence tests compare scheduling only.  The
+    work is :func:`run_chunk_batched`.
 
     Records receive/done wall-clock timestamps (``time.time()``, comparable
-    across processes on one machine), wall/CPU compute time, the executing
-    thread id (so the thread backend can attribute per-thread), peak memory
+    across processes on one machine), wall/CPU compute time, peak memory
     when tracemalloc is live, and — when ``measure_ser`` — the cost of
     pickling the result payload, measured once here so the parent sees the
-    real transfer size.  Returns an *envelope* dict with the result under
-    ``"pairs"`` plus the accounting fields.
+    real transfer size.  ``measure_ser=False`` (in-parent and retry paths,
+    where no pickling happens) skips that probe so in-process runs aren't
+    charged for work they don't do.  Returns an *envelope* dict with the
+    result under ``"pairs"`` plus the accounting fields.
     """
     recv_ts = time.time()
     sample_mem = tracemalloc.is_tracing()
@@ -342,14 +325,15 @@ def _instrument_chunk(
     timer = Timer().start()
     with trace.span(
         "runtime.chunk", sweep=sweep, cell=cell_index, chunk=chunk_index,
-        trials=trials,
+        trials=stop - start,
     ):
-        pairs = work()
+        pairs = run_chunk_batched(
+            kernel, sweep, master_seed, params, cell_index, start, stop
+        )
     timer.stop()
     envelope: Envelope = {
         "pairs": pairs,
         "worker_pid": os.getpid(),
-        "worker_tid": threading.get_ident(),
         "recv_ts": recv_ts,
         "wall_s": timer.wall_s,
         "cpu_s": timer.cpu_s,
@@ -372,83 +356,6 @@ def _instrument_chunk(
     return envelope
 
 
-def run_chunk_instrumented(
-    kernel: Callable[[Any, Any], Any],
-    sweep: str,
-    master_seed: int,
-    params: Any,
-    cell_index: int,
-    chunk_index: int,
-    start: int,
-    stop: int,
-    measure_ser: bool = True,
-) -> Envelope:
-    """Run one scalar-kernel chunk wrapped in dispatch-overhead accounting.
-
-    The work is exactly :func:`run_chunk`; the accounting envelope is
-    described at :func:`_instrument_chunk`.  ``measure_ser=False`` (serial
-    and retry paths, where no pickling happens) skips the serialization
-    probe so in-process runs aren't charged for work they don't do.
-    """
-    return _instrument_chunk(
-        lambda: run_chunk(
-            kernel, sweep, master_seed, params, cell_index, start, stop
-        ),
-        sweep, cell_index, chunk_index, stop - start, measure_ser,
-    )
-
-
-def run_chunk_batched(
-    batched: BatchedKernel,
-    sweep: str,
-    master_seed: int,
-    params: Any,
-    cell_index: int,
-    start: int,
-    stop: int,
-) -> List[list]:
-    """Run one chunk through a batched kernel; ``[[trial, result], ...]``.
-
-    Seeds are derived per trial exactly as :func:`run_chunk` derives them —
-    the batched kernel receives the same ``SeedSequence`` list a serial
-    chunk would consume one-by-one, which is what makes batched results
-    comparable across backends.
-    """
-    faults.maybe_hang_chunk(cell_index, start, stop)
-    seeds = [
-        seed_sequence(master_seed, sweep, cell_index, t)
-        for t in range(start, stop)
-    ]
-    results = batched(params, seeds)
-    if len(results) != stop - start:
-        raise SweepError(
-            f"batched kernel returned {len(results)} results for "
-            f"{stop - start} seeds (cell {cell_index}, trials "
-            f"[{start}, {stop}))"
-        )
-    return [[t, jsonable(r)] for t, r in zip(range(start, stop), results)]
-
-
-def run_chunk_batched_instrumented(
-    batched: BatchedKernel,
-    sweep: str,
-    master_seed: int,
-    params: Any,
-    cell_index: int,
-    chunk_index: int,
-    start: int,
-    stop: int,
-) -> Envelope:
-    """Batched twin of :func:`run_chunk_instrumented` (always in-process,
-    so the serialization probe is skipped)."""
-    return _instrument_chunk(
-        lambda: run_chunk_batched(
-            batched, sweep, master_seed, params, cell_index, start, stop
-        ),
-        sweep, cell_index, chunk_index, stop - start, measure_ser=False,
-    )
-
-
 def _worker_init(trace_context: Optional[Dict[str, Any]] = None) -> None:
     """Pool-worker initializer: mark the process, re-home obs into a shard.
 
@@ -462,6 +369,10 @@ def _worker_init(trace_context: Optional[Dict[str, Any]] = None) -> None:
     accounts for work items in the parent via chunk envelopes.
     """
     os.environ[WORKER_ENV_FLAG] = "1"
+    # The watchdog terminates stalled workers with SIGTERM; a forked worker
+    # must not run the parent's bundle-on-signal handler, since the parent
+    # already writes the stall's crash bundle.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     trace.detach()
     if trace_context is not None:
         trace.configure_shard(trace_context)
@@ -480,17 +391,12 @@ def _account_chunk(
 ) -> None:
     """Fold a completed chunk's envelope into metrics and a trace event.
 
-    Parent-side only.  ``mode`` is ``"pool"``, ``"thread"``, ``"batched"``,
-    ``"serial"`` or ``"retry"``; pool chunks are attributed per worker
-    process, thread chunks per thread, and everything that ran inline in
-    the parent's main thread to the synthetic worker ``"parent"``.
+    Parent-side only.  ``mode`` is ``"pool"``, ``"batched"`` or
+    ``"retry"``; pool chunks are attributed per worker process, and
+    everything that ran inline in the parent to the synthetic worker
+    ``"parent"``.
     """
-    if mode == "pool":
-        worker = f"pid:{envelope['worker_pid']}"
-    elif mode == "thread":
-        worker = f"tid:{envelope.get('worker_tid', 0)}"
-    else:
-        worker = "parent"
+    worker = f"pid:{envelope['worker_pid']}" if mode == "pool" else "parent"
     recv_ts = float(envelope["recv_ts"])
     done_ts = float(envelope["done_ts"])
     rec: Dict[str, Any] = {
@@ -568,7 +474,7 @@ def assemble_results(
 
 def run_sweep(
     name: str,
-    kernel: Callable[[Any, Any], Any],
+    kernel: Kernel,
     cells: Sequence[CellSpec],
     master_seed: int,
     workers: int = 1,
@@ -582,30 +488,30 @@ def run_sweep(
     Args:
         name: Sweep name; part of every task's seed-derivation key, and
             stamped into the checkpoint header.
-        kernel: Pure, picklable ``(params, seed) -> result`` function; the
-            result must be JSON-serializable (floats/lists/dicts — it is
-            normalized through ``jsonable`` either way, so numpy scalars
-            and arrays are folded to plain Python).
+        kernel: Pure, picklable ``(params, seeds) -> [result, ...]``
+            function returning one result per seed; each result must be
+            JSON-serializable (floats/lists/dicts — it is normalized
+            through ``jsonable`` either way, so numpy scalars and arrays
+            are folded to plain Python).
         cells: The sweep grid.
         master_seed: Root of all derived seeds.
-        workers: Pool/thread count for the process and thread backends;
-            ignored by serial and batched execution.
+        workers: Pool size of the process backend; ignored in-parent.
         chunk_size: Trials per work item.  ``None`` picks the backend's
-            default (``BATCHED_CHUNK_SIZE`` for batched execution,
-            ``DEFAULT_CHUNK_SIZE`` otherwise) — note the chunk size is part
-            of the checkpoint header, so resuming a checkpoint under a
+            default (``BATCHED_CHUNK_SIZE`` in-parent,
+            ``DEFAULT_CHUNK_SIZE`` on the pool) — note the chunk size is
+            part of the checkpoint header, so resuming a checkpoint under a
             backend with a different default requires passing the original
             chunk size explicitly.
         checkpoint: Optional JSONL progress-file path.
         resume: Skip chunks already present in ``checkpoint``.
-        backend: One of :data:`BACKENDS`, or ``None`` for the legacy
-            mapping (``workers > 1`` -> process pool, else serial).  See
+        backend: One of :data:`BACKENDS`, or ``None`` (``workers > 1`` ->
+            process pool, else in-parent ``batched``).  See
             :func:`resolve_backend`.
 
     Returns:
         A :class:`SweepResult` whose ``results`` are bit-identical for any
         ``workers``/chunking/resume/backend combination at the same master
-        seed (up to each kernel's documented batched tolerance).
+        seed.
     """
     cells = list(cells)
     require(workers >= 1, "workers must be >= 1")
@@ -613,9 +519,9 @@ def run_sweep(
     mode = resolve_backend(backend, kernel, workers, total_trials)
     if chunk_size is None:
         chunk_size = BATCHED_CHUNK_SIZE if mode == "batched" else DEFAULT_CHUNK_SIZE
-    # serial and batched chunks run inline in the parent; only the pool and
-    # thread backends actually occupy `workers` execution lanes
-    effective_workers = workers if mode in ("process", "thread") else 1
+    # batched chunks run inline in the parent; only the pool occupies
+    # `workers` execution lanes
+    effective_workers = workers if mode == "process" else 1
     header = sweep_header(name, master_seed, chunk_size, cells)
     completed, writer = open_checkpoint(checkpoint, resume, header)
     resumed = len(completed)
@@ -662,19 +568,9 @@ def run_sweep(
         try:
             if not pending:
                 pass
-            elif mode == "serial":
-                failures = _run_serial(
-                    name, kernel, cells, master_seed, pending, finish,
-                    progress, acct, watchdog,
-                )
             elif mode == "batched":
-                failures = _run_batched(
+                failures = _run_in_parent(
                     name, kernel, cells, master_seed, pending, finish,
-                    progress, acct, watchdog,
-                )
-            elif mode == "thread":
-                failures = _run_threads(
-                    name, kernel, cells, master_seed, workers, pending, finish,
                     progress, acct, watchdog,
                 )
             else:
@@ -723,7 +619,7 @@ def run_sweep(
 
 def _retry_serially(
     name: str,
-    kernel: Callable[[Any, Any], Any],
+    kernel: Kernel,
     cells: Sequence[CellSpec],
     master_seed: int,
     task: Task,
@@ -736,11 +632,11 @@ def _retry_serially(
 ) -> None:
     """Account one failed chunk and re-run it serially in the parent.
 
-    The single fault-tolerance funnel every backend shares: batched
-    numerical edge cases, in-thread kernel errors, dead pool workers and
-    watchdog-abandoned stalls all land here, so a failed chunk costs its
-    speedup rather than the sweep.  ``where`` is prose for the log line
-    ("in a thread", "after a watchdog stall", ...).
+    The single fault-tolerance funnel both backends share: in-parent
+    kernel errors, dead pool workers and watchdog-abandoned stalls all
+    land here, so a failed chunk costs its speedup rather than the sweep.
+    A retry that fails again propagates.  ``where`` is prose for the log
+    line ("in the pool", "after a watchdog stall", ...).
     """
     cell_index, chunk_index, start, stop = task
     _CHUNK_FAILURES.inc()
@@ -756,7 +652,7 @@ def _retry_serially(
         chunk=chunk_index, error=type(error).__name__,
     )
     retry_ts = time.time()
-    envelope = run_chunk_instrumented(
+    envelope = run_chunk(
         kernel, name, master_seed, cells[cell_index].params,
         cell_index, chunk_index, start, stop, measure_ser=False,
     )
@@ -771,17 +667,16 @@ def _retry_serially(
 
 def _drain_stalled(
     name: str,
-    kernel: Callable[[Any, Any], Any],
+    kernel: Kernel,
     cells: Sequence[CellSpec],
     master_seed: int,
     remaining: Dict["Future[Envelope]", Tuple[Task, float, Tuple[int, float]]],
-    mode: str,
     finish: Callable[[Task, List[list]], None],
     progress: Optional[SweepProgress],
     acct_list: List[Dict[str, Any]],
     watchdog: Optional[ChunkWatchdog],
 ) -> int:
-    """Recover the futures a stalled backend abandoned; returns retries.
+    """Recover the futures a stalled pool abandoned; returns retries.
 
     Futures that did complete before (or while) the stall was declared
     are salvaged through the normal accounting path — their results are
@@ -801,7 +696,7 @@ def _drain_stalled(
             try:
                 envelope = future.result()
                 _account_chunk(
-                    acct_list, name, task, mode, submit_ts, envelope, ser_cost
+                    acct_list, name, task, "pool", submit_ts, envelope, ser_cost
                 )
                 finish(task, envelope["pairs"])
                 continue
@@ -820,9 +715,9 @@ def _drain_stalled(
     return failures
 
 
-def _run_serial(
+def _run_in_parent(
     name: str,
-    kernel: Callable[[Any, Any], Any],
+    kernel: Kernel,
     cells: Sequence[CellSpec],
     master_seed: int,
     pending: Sequence[Task],
@@ -831,12 +726,12 @@ def _run_serial(
     acct: Optional[List[Dict[str, Any]]] = None,
     watchdog: Optional[ChunkWatchdog] = None,
 ) -> int:
-    """Run chunks inline in the parent; retry in-chunk failures once.
+    """Run chunks inline in the parent; retry a failed chunk once.
 
-    Serial chunks historically could not fail without killing the sweep;
-    with cooperative fault hangs (:mod:`repro.runtime.faults`) a chunk
-    hung *in the parent* is cancelled by the watchdog mid-call and raises,
-    so the serial loop now owns the same retry funnel as the pools.
+    Returns the number of chunks that needed a retry.  A chunk hung in the
+    parent by a cooperative fault (:mod:`repro.runtime.faults`) is
+    cancelled by the watchdog mid-call and raises, so the in-parent loop
+    owns the same retry funnel as the pool.
     """
     failures = 0
     acct_list: List[Dict[str, Any]] = [] if acct is None else acct
@@ -846,56 +741,9 @@ def _run_serial(
             watchdog.submitted(task)
         submit_ts = time.time()
         try:
-            envelope = run_chunk_instrumented(
+            envelope = run_chunk(
                 kernel, name, master_seed, cells[cell_index].params,
                 cell_index, chunk_index, start, stop, measure_ser=False,
-            )
-            _account_chunk(acct_list, name, task, "serial", submit_ts, envelope)
-            finish(task, envelope["pairs"])
-            if watchdog is not None:
-                watchdog.completed(task, float(envelope["wall_s"]))
-        except Exception as exc:
-            failures += 1
-            _retry_serially(
-                name, kernel, cells, master_seed, task, exc,
-                "in the serial loop", finish, progress, acct_list, watchdog,
-            )
-    return failures
-
-
-def _run_batched(
-    name: str,
-    kernel: Callable[[Any, Any], Any],
-    cells: Sequence[CellSpec],
-    master_seed: int,
-    pending: Sequence[Task],
-    finish: Callable[[Task, List[list]], None],
-    progress: Optional[SweepProgress] = None,
-    acct: Optional[List[Dict[str, Any]]] = None,
-    watchdog: Optional[ChunkWatchdog] = None,
-) -> int:
-    """Run chunks through the kernel's batched twin, in-parent.
-
-    Returns the number of chunks whose batched call failed and were
-    re-run serially through the scalar kernel — the same graceful
-    degradation the pool backend applies to dead workers, so a numerical
-    edge case in the vectorized path (e.g. a singular stacked matrix)
-    costs one chunk of speedup instead of the sweep.
-    """
-    batched = batched_kernel_for(kernel)
-    if batched is None:  # resolve_backend guarantees this; belt and braces
-        raise SweepError(f"no batched kernel registered for {kernel!r}")
-    failures = 0
-    acct_list: List[Dict[str, Any]] = [] if acct is None else acct
-    for task in pending:
-        cell_index, chunk_index, start, stop = task
-        if watchdog is not None:
-            watchdog.submitted(task)
-        submit_ts = time.time()
-        try:
-            envelope = run_chunk_batched_instrumented(
-                batched, name, master_seed, cells[cell_index].params,
-                cell_index, chunk_index, start, stop,
             )
             _account_chunk(acct_list, name, task, "batched", submit_ts, envelope)
             finish(task, envelope["pairs"])
@@ -905,91 +753,8 @@ def _run_batched(
             failures += 1
             _retry_serially(
                 name, kernel, cells, master_seed, task, exc,
-                "in the batched path", finish, progress, acct_list, watchdog,
+                "in the parent", finish, progress, acct_list, watchdog,
             )
-    return failures
-
-
-def _run_threads(
-    name: str,
-    kernel: Callable[[Any, Any], Any],
-    cells: Sequence[CellSpec],
-    master_seed: int,
-    workers: int,
-    pending: Sequence[Task],
-    finish: Callable[[Task, List[list]], None],
-    progress: Optional[SweepProgress] = None,
-    acct: Optional[List[Dict[str, Any]]] = None,
-    watchdog: Optional[ChunkWatchdog] = None,
-) -> int:
-    """Dispatch chunks to a thread pool; retry failures in the main thread.
-
-    Shares the parent's memory, tracer and metrics registry — no pickling,
-    no shards, no worker env flag — so the only overhead is queueing and
-    the GIL contention of the kernels' pure-python glue (numpy releases
-    the GIL inside BLAS/FFT calls).  Returns the number of chunks retried
-    after an in-thread kernel failure or a watchdog stall.
-
-    The result loop polls :func:`concurrent.futures.wait` with the
-    watchdog's cadence instead of blocking in ``as_completed`` — a hung
-    worker thread can therefore stall the *loop* but not the sweep: on
-    ``watchdog.stalled`` the loop breaks out, salvages whatever did
-    finish, and re-runs the rest serially.  Threads cannot be killed, so
-    shutdown of a stalled pool does not wait: cooperatively-cancelled
-    hangs (the injected-fault case) unwind on their own, and a genuinely
-    stuck thread is left behind as the documented cost of this backend.
-    """
-    failures = 0
-    acct_list: List[Dict[str, Any]] = [] if acct is None else acct
-    stalled = False
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        futures: Dict[Future[Envelope], Tuple[Task, float, Tuple[int, float]]] = {}
-        for task in pending:
-            if watchdog is not None:
-                watchdog.submitted(task)
-            submit_ts = time.time()
-            future = pool.submit(
-                run_chunk_instrumented, kernel, name, master_seed,
-                cells[task[0]].params, task[0], task[1], task[2], task[3],
-                False,
-            )
-            futures[future] = (task, submit_ts, (0, 0.0))
-        not_done = set(futures)
-        while not_done:
-            if watchdog is not None and watchdog.stalled.is_set():
-                stalled = True
-                break
-            timeout = (
-                watchdog.poll_interval_s if watchdog is not None else None
-            )
-            done, not_done = wait(
-                not_done, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                task, submit_ts, _ser = futures[future]
-                try:
-                    envelope = future.result()
-                    _account_chunk(
-                        acct_list, name, task, "thread", submit_ts, envelope
-                    )
-                    finish(task, envelope["pairs"])
-                    if watchdog is not None:
-                        watchdog.completed(task, float(envelope["wall_s"]))
-                except Exception as exc:
-                    failures += 1
-                    _retry_serially(
-                        name, kernel, cells, master_seed, task, exc,
-                        "in a thread", finish, progress, acct_list, watchdog,
-                    )
-        if stalled:
-            failures += _drain_stalled(
-                name, kernel, cells, master_seed,
-                {f: futures[f] for f in not_done}, "thread",
-                finish, progress, acct_list, watchdog,
-            )
-    finally:
-        pool.shutdown(wait=not stalled, cancel_futures=stalled)
     return failures
 
 
@@ -1013,7 +778,7 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> int:
 
 def _run_pool(
     name: str,
-    kernel: Callable[[Any, Any], Any],
+    kernel: Kernel,
     cells: Sequence[CellSpec],
     master_seed: int,
     workers: int,
@@ -1078,7 +843,7 @@ def _run_pool(
                 watchdog.submitted(task)
             submit_ts = time.time()
             future = pool.submit(
-                run_chunk_instrumented, kernel, name, master_seed,
+                run_chunk, kernel, name, master_seed,
                 cells[task[0]].params, task[0], task[1], task[2], task[3],
             )
             futures[future] = (task, submit_ts, ser_cost)
@@ -1119,7 +884,7 @@ def _run_pool(
                 )
             failures += _drain_stalled(
                 name, kernel, cells, master_seed,
-                {f: futures[f] for f in not_done}, "pool",
+                {f: futures[f] for f in not_done},
                 finish, progress, acct_list, watchdog,
             )
     finally:

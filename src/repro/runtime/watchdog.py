@@ -27,9 +27,9 @@ cannot stop it —
    ``faulthandler`` dump of every thread, hung ones included,
 3. releases cooperative fault hangs (:func:`repro.runtime.faults
    .cancel_hangs`) and sets :attr:`stalled`, on which the engine's
-   pool/thread result loops break out, kill the abandoned workers, and
-   re-run the unfinished chunks serially through the existing
-   retry path.
+   pool result loop breaks out, kills the abandoned workers, and re-runs
+   the unfinished chunks serially through the existing retry path (a
+   cancelled hang in the parent raises into the same retry path).
 
 ``REPRO_WATCHDOG=0`` disables the monitor entirely.
 """

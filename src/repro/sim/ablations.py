@@ -64,15 +64,20 @@ class SyncAblationResult:
         return "\n".join(lines)
 
 
-def sync_ablation_kernel(params, seed):
-    """One sync-ablation trial: every strategy run on *one* shared system.
+def sync_ablation_kernel(params, seeds):
+    """Sync-ablation trials: every strategy run on *one* shared system.
 
     The strategies are paired — the same system seed (channels,
     oscillators, placement) underlies each of them — so the comparison
     isolates the synchronization strategy, exactly as the original serial
     loop reused one seed list across strategies.  Returns
-    ``{strategy: [|misalignment| per delay]}``.
+    ``{strategy: [|misalignment| per delay]}`` per seed.
     """
+    return [_sync_ablation_trial(params, seed) for seed in seeds]
+
+
+def _sync_ablation_trial(params, seed):
+    """One trial of :func:`sync_ablation_kernel`."""
     rng = ensure_rng(seed)
     system_seed = int(rng.integers(1 << 31))
     delays_s = params["delays_s"]

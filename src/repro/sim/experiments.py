@@ -6,10 +6,11 @@ and returns a small result object with the figure's series plus a
 benchmark suite calls these runners; ``EXPERIMENTS.md`` records their output
 against the paper's numbers.
 
-The Monte Carlo figures (6, 8, 9/10, 11) are structured as pure
-``kernel(params, seed) -> result`` functions dispatched through the
-deterministic sweep engine (:mod:`repro.runtime`): each trial draws from
-its own seed stream derived from ``(seed, figure, cell, trial)``, so the
+The Monte Carlo figures (6, 8, 9/10, 11) are structured as pure,
+batch-first ``kernel(params, seeds) -> [result per seed]`` functions
+dispatched through the deterministic sweep engine (:mod:`repro.runtime`):
+each trial draws from its own seed stream derived from
+``(seed, figure, cell, trial)``, so the
 aggregated results are bit-identical for any ``workers`` count and across
 checkpoint/resume (see ``docs/parallelism.md``).  The sample-level
 protocol figures (7, 12, 13) remain serial: they run a handful of
@@ -34,7 +35,6 @@ from repro.constants import (
     SYMBOL_LENGTH,
 )
 from repro.core.beamforming import (
-    snr_reduction_from_misalignment,
     snr_reduction_grid,
     zero_forcing_precoder_wideband,
 )
@@ -44,7 +44,7 @@ from repro.mac.rate import EffectiveSnrRateSelector
 from repro.obs import trace
 from repro.phy.channel_est import estimate_channel_lts
 from repro.phy.preamble import long_training_sequence, sync_header, sync_header_length
-from repro.runtime import CellSpec, register_batched_kernel, run_sweep
+from repro.runtime import CellSpec, run_sweep
 from repro.sim.fastsim import (
     SyncErrorModel,
     build_channel_tensor,
@@ -105,25 +105,13 @@ class Fig6Result:
         return "\n".join(lines)
 
 
-def fig6_kernel(params, seed):
-    """One Fig. 6 trial: a random 2x2 channel's loss over the (SNR,
-    misalignment) grid.  Returns ``[[loss per misalignment] per SNR]``."""
-    rng = ensure_rng(seed)
-    h = random_channel_matrix(params["n_rx"], params["n_tx"], rng=rng)
-    return [
-        [float(np.mean(snr_reduction_from_misalignment(h, m, snr)))
-         for m in params["misalignments"]]
-        for snr in params["snrs_db"]
-    ]
+def fig6_kernel(params, seeds):
+    """Fig. 6 trials: each random 2x2 channel's loss over the (SNR,
+    misalignment) grid, ``[[loss per misalignment] per SNR]`` per seed.
 
-
-def fig6_kernel_batch(params, seeds):
-    """Batched :func:`fig6_kernel`: every trial's grid in one stacked pass.
-
-    Channel draws stay per-seed (each generator consumes exactly the scalar
-    kernel's draws); the ZF precoders and the (SNR, misalignment) grid are
-    then evaluated once over the stacked channel axis via
-    :func:`snr_reduction_grid`, bit-identically to the scalar nest.
+    Channel draws stay per-seed; the ZF precoders and the grid are then
+    evaluated once over the stacked channel axis via
+    :func:`snr_reduction_grid`.
     """
     channels = np.stack(
         [
@@ -140,9 +128,6 @@ def fig6_kernel_batch(params, seeds):
     return [
         [[float(v) for v in row] for row in losses[t]] for t in range(len(seeds))
     ]
-
-
-register_batched_kernel(fig6_kernel, fig6_kernel_batch)
 
 
 def run_fig6(
@@ -335,22 +320,25 @@ class Fig8Result:
         return "\n".join(lines)
 
 
-def fig8_kernel(params, seed):
-    """One Fig. 8 trial: a topology's per-packet nulling INR samples (dB)."""
-    rng = ensure_rng(seed)
+def fig8_kernel(params, seeds):
+    """Fig. 8 trials: each topology's per-packet nulling INR samples (dB)."""
     n = params["n"]
     error_model = params["error_model"]
-    snrs = draw_band_snrs(params["band"], n, n, rng)
-    channels = build_channel_tensor(snrs, rng)
-    est = error_model.corrupt_estimate(channels, snrs, rng)
-    samples = []
-    for _ in range(params["n_packets"]):
-        errors = error_model.phase_errors(n, rng)
-        nulled = int(rng.integers(0, n))
-        samples.append(
-            float(nulling_inr_db(channels, nulled, phase_errors=errors, est_channels=est))
-        )
-    return samples
+    out = []
+    for seed in seeds:
+        rng = ensure_rng(seed)
+        snrs = draw_band_snrs(params["band"], n, n, rng)
+        channels = build_channel_tensor(snrs, rng)
+        est = error_model.corrupt_estimate(channels, snrs, rng)
+        samples = []
+        for _ in range(params["n_packets"]):
+            errors = error_model.phase_errors(n, rng)
+            nulled = int(rng.integers(0, n))
+            samples.append(
+                float(nulling_inr_db(channels, nulled, phase_errors=errors, est_channels=est))
+            )
+        out.append(samples)
+    return out
 
 
 def run_fig8(
@@ -408,24 +396,26 @@ def run_fig8(
 # ---------------------------------------------------------------------------
 
 
-def zf_penalty_db(channels: np.ndarray) -> float:
+def zf_penalty_db(channels: np.ndarray):
     """The ZF power penalty of a channel shape: how far the per-stream
     effective SNR (k^2/N0) falls below the mean best-AP unicast SNR.
 
     Scale-invariant — scaling all links cancels out — so it is an intrinsic
-    conditioning measure of the topology.
+    conditioning measure of the topology.  Takes (..., n_bins, n_rx, n_tx)
+    channels and returns a (...,)-shaped penalty (a scalar for one tensor).
     """
     channels = np.asarray(channels, dtype=complex)
     _, k = zero_forcing_precoder_wideband(channels)
-    link_gain = np.mean(np.abs(channels) ** 2, axis=0)  # (n_rx, n_tx)
-    best = float(np.mean(np.max(link_gain, axis=1)))
-    return float(linear_to_db(best) - linear_to_db(k**2))
+    link_gain = np.mean(np.abs(channels) ** 2, axis=-3)  # (..., n_rx, n_tx)
+    best = np.mean(np.max(link_gain, axis=-1), axis=-1)
+    return linear_to_db(best) - linear_to_db(k**2)
 
 
 def draw_screened_channels(
-    n: int, rng, max_penalty_db: Optional[float], max_attempts: int = 100
+    n: int, rngs, max_penalty_db: Optional[float], max_attempts: int = 100
 ) -> np.ndarray:
-    """Draw an n x n channel shape, mirroring the paper's placement screen.
+    """Draw one n x n channel shape per generator in ``rngs``, mirroring the
+    paper's placement screen.
 
     The paper re-places clients until "all clients obtain an effective SNR
     in the desired range" (§11.2); topologies whose ZF conditioning penalty
@@ -433,20 +423,43 @@ def draw_screened_channels(
     gain model implies a screened penalty of K ~ 1.5-2 dB: from the 8.1x
     gain at 10 APs and low SNR, N(1 - log K / log SNR) gives K ~ 1.5.)
 
-    Pass ``max_penalty_db=None`` to disable screening (ablation).
+    The screen runs in rounds: each round draws one candidate *per
+    still-unscreened trial* from that trial's own generator, so every
+    generator consumes the same draws whatever the batch, and scores all
+    candidates in one stacked ZF pass.  A trial that exhausts
+    ``max_attempts`` keeps its least-penalized candidate.  Pass
+    ``max_penalty_db=None`` to disable screening (ablation).
+
+    Returns:
+        (len(rngs), n_bins, n, n) channel shapes.
     """
-    best_channels, best_penalty = None, np.inf
-    for _ in range(max_attempts):
-        shape_snrs = draw_band_snrs((19.0, 21.0), n, n, rng)
-        channels = build_channel_tensor(shape_snrs, rng)
+    # each trial's least-penalized candidate so far; a passing candidate
+    # always beats the failed ones before it
+    best: List[Optional[np.ndarray]] = [None] * len(rngs)
+    best_penalty = np.full(len(rngs), np.inf)
+    active = list(range(len(rngs)))
+    for _attempt in range(max_attempts):
+        if not active:
+            break
+        cand = np.stack(
+            [
+                build_channel_tensor(
+                    draw_band_snrs((19.0, 21.0), n, n, rngs[t]), rngs[t]
+                )
+                for t in active
+            ]
+        )  # (n_active, n_bins, n, n)
         if max_penalty_db is None:
-            return channels
-        penalty = zf_penalty_db(channels)
-        if penalty <= max_penalty_db:
-            return channels
-        if penalty < best_penalty:
-            best_channels, best_penalty = channels, penalty
-    return best_channels
+            return cand
+        penalty = zf_penalty_db(cand)
+        still_active = []
+        for i, t in enumerate(active):
+            if penalty[i] < best_penalty[t]:
+                best[t], best_penalty[t] = cand[i], penalty[i]
+            if not penalty[i] <= max_penalty_db:
+                still_active.append(t)
+        active = still_active
+    return np.stack(best)
 
 
 @dataclass
@@ -517,115 +530,28 @@ class Fig9Result:
         return "\n".join(lines)
 
 
-def fig9_kernel(params, seed):
-    """One Fig. 9 trial: a screened topology's MegaMIMO and 802.11 totals.
+def fig9_kernel(params, seeds):
+    """Fig. 9 trials: each screened topology's MegaMIMO and 802.11 totals.
 
-    Returns ``{"megamimo_bps", "baseline_bps", "gains"}`` for one topology
-    draw; the runner aggregates trial lists into :class:`ScalingCell`s.
-    """
-    rng = ensure_rng(seed)
-    n = params["n"]
-    band = params["band"]
-    error_model = params["error_model"]
-    selector = EffectiveSnrRateSelector(
-        params["sample_rate"], mac_efficiency=MAC_EFFICIENCY
-    )
-    channels = draw_screened_channels(n, rng, params["max_penalty_db"])
-    # scale so the effective (post-ZF) SNR hits the band target
-    _, k = zero_forcing_precoder_wideband(channels)
-    target_db = float(rng.uniform(band[0], band[1]))
-    scale = np.sqrt(db_to_linear(target_db) / k**2)
-    channels = channels * scale
-    link_snrs_db = linear_to_db(np.mean(np.abs(channels) ** 2, axis=0))
-    est = error_model.corrupt_estimate(channels, link_snrs_db, rng)
-    errors = error_model.phase_errors(n, rng)
-    sinr_db = joint_zf_sinr_db(channels, phase_errors=errors, est_channels=est)
-    stream_rates = np.array([selector.goodput(sinr_db[c]) for c in range(n)])
-    best_ap = np.argmax(link_snrs_db, axis=1)
-    unicast_rates = np.array(
-        [
-            selector.goodput(unicast_snr_db(channels, c, int(best_ap[c])))
-            for c in range(n)
-        ]
-    )
-    baseline_per_client = unicast_rates / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(
-            baseline_per_client > 0,
-            stream_rates / np.maximum(baseline_per_client, 1e-9),
-            np.nan,
-        )
-    return {
-        "megamimo_bps": float(np.sum(stream_rates)),
-        "baseline_bps": float(np.mean(unicast_rates)),
-        "gains": g[np.isfinite(g)].tolist(),
-    }
-
-
-def fig9_kernel_batch(params, seeds):
-    """Batched :func:`fig9_kernel`: stacked screening, ZF and rate selection.
-
-    Per-trial RNG streams are preserved exactly: the screening loop runs in
-    rounds, each round drawing one candidate topology *per still-active
-    trial* from that trial's own generator (matching the scalar kernel's
-    early-stopping draw order), while the conditioning penalties of all
-    candidates are scored in one stacked ZF pass.  The post-screening
-    draws (band target, estimation noise, phase errors) also stay
-    per-trial; the SINR evaluation and effective-SNR rate walk then run
-    once over the trial axis (:meth:`EffectiveSnrRateSelector.goodput_batch`).
-    Results are bit-identical to mapping :func:`fig9_kernel` over ``seeds``.
+    Returns ``{"megamimo_bps", "baseline_bps", "gains"}`` per seed; the
+    runner aggregates trial lists into :class:`ScalingCell`s.  Every draw
+    (placement screen, band target, estimation noise, phase errors) comes
+    from the trial's own generator; the screen's penalties, the SINR
+    evaluation and the effective-SNR rate walk
+    (:meth:`EffectiveSnrRateSelector.goodput_batch`) run once over the
+    stacked trial axis.
     """
     n = int(params["n"])
     band = params["band"]
     error_model = params["error_model"]
-    max_penalty_db = params["max_penalty_db"]
     selector = EffectiveSnrRateSelector(
         params["sample_rate"], mac_efficiency=MAC_EFFICIENCY
     )
     rngs = [ensure_rng(seed) for seed in seeds]
     n_trials = len(rngs)
+    channels = draw_screened_channels(n, rngs, params["max_penalty_db"])
 
-    # --- placement screening: draws per trial, penalties batched ----------
-    chosen: List[Optional[np.ndarray]] = [None] * n_trials
-    fallback: List[Optional[np.ndarray]] = [None] * n_trials
-    fallback_penalty = np.full(n_trials, np.inf)
-    active = list(range(n_trials))
-    for _attempt in range(100):  # draw_screened_channels' max_attempts
-        if not active:
-            break
-        cand = np.stack(
-            [
-                build_channel_tensor(
-                    draw_band_snrs((19.0, 21.0), n, n, rngs[t]), rngs[t]
-                )
-                for t in active
-            ]
-        )  # (n_active, n_bins, n, n)
-        if max_penalty_db is None:
-            for i, t in enumerate(active):
-                chosen[t] = cand[i]
-            active = []
-            break
-        # zf_penalty_db, stacked over the active candidates
-        _, k = zero_forcing_precoder_wideband(cand)
-        link_gain = np.mean(np.abs(cand) ** 2, axis=-3)
-        best_link = np.mean(np.max(link_gain, axis=-1), axis=-1)
-        penalty = linear_to_db(best_link) - linear_to_db(k**2)
-        still_active = []
-        for i, t in enumerate(active):
-            if penalty[i] <= max_penalty_db:
-                chosen[t] = cand[i]
-            else:
-                if penalty[i] < fallback_penalty[t]:
-                    fallback[t] = cand[i]
-                    fallback_penalty[t] = penalty[i]
-                still_active.append(t)
-        active = still_active
-    channels = np.stack(
-        [chosen[t] if chosen[t] is not None else fallback[t] for t in range(n_trials)]
-    )  # (n_trials, n_bins, n, n)
-
-    # --- scale each trial so the effective SNR hits its band target -------
+    # scale each trial so the effective (post-ZF) SNR hits its band target
     _, k = zero_forcing_precoder_wideband(channels)
     targets = np.array([float(rng.uniform(band[0], band[1])) for rng in rngs])
     scale = np.sqrt(db_to_linear(targets) / k**2)
@@ -640,9 +566,7 @@ def fig9_kernel_batch(params, seeds):
     )
     errors = np.stack([error_model.phase_errors(n, rngs[t]) for t in range(n_trials)])
 
-    sinr_db = np.ascontiguousarray(
-        joint_zf_sinr_db(channels, phase_errors=errors, est_channels=est)
-    )  # (n_trials, n, n_bins)
+    sinr_db = joint_zf_sinr_db(channels, phase_errors=errors, est_channels=est)
     stream_rates = selector.goodput_batch(sinr_db)  # (n_trials, n)
     best_ap = np.argmax(link_snrs_db, axis=-1)  # (n_trials, n)
     uni = np.stack(
@@ -672,9 +596,6 @@ def fig9_kernel_batch(params, seeds):
             }
         )
     return out
-
-
-register_batched_kernel(fig9_kernel, fig9_kernel_batch)
 
 
 def run_fig9(
@@ -828,31 +749,34 @@ class Fig11Result:
         return "\n".join(lines)
 
 
-def fig11_kernel(params, seed):
-    """One Fig. 11 trial: per-SNR throughput of one fading draw (bps).
+def fig11_kernel(params, seeds):
+    """Fig. 11 trials: each fading draw's per-SNR throughput (bps).
 
     ``n_aps == 1`` is the 802.11 single-transmitter baseline; otherwise all
     APs beamform the same stream coherently (§8).
     """
-    rng = ensure_rng(seed)
     n = params["n_aps"]
     error_model = params["error_model"]
     selector = EffectiveSnrRateSelector(
         params["sample_rate"], mac_efficiency=MAC_EFFICIENCY
     )
-    rates = []
-    for s in params["snr_db"]:
-        if n == 1:
-            snrs = np.full((1, 1), s)
-            channels = build_channel_tensor(snrs, rng)
-            rates.append(float(selector.goodput(unicast_snr_db(channels, 0, 0))))
-        else:
-            snrs = np.full((1, n), s) + rng.normal(0, 1.0, (1, n))
-            channels = build_channel_tensor(snrs, rng)  # (bins, 1, n)
-            errors = error_model.phase_errors(n, rng)
-            div = diversity_snr_db(channels[:, 0, :], phase_errors=errors)
-            rates.append(float(selector.goodput(div)))
-    return rates
+    out = []
+    for seed in seeds:
+        rng = ensure_rng(seed)
+        rates = []
+        for s in params["snr_db"]:
+            if n == 1:
+                snrs = np.full((1, 1), s)
+                channels = build_channel_tensor(snrs, rng)
+                rates.append(float(selector.goodput(unicast_snr_db(channels, 0, 0))))
+            else:
+                snrs = np.full((1, n), s) + rng.normal(0, 1.0, (1, n))
+                channels = build_channel_tensor(snrs, rng)  # (bins, 1, n)
+                errors = error_model.phase_errors(n, rng)
+                div = diversity_snr_db(channels[:, 0, :], phase_errors=errors)
+                rates.append(float(selector.goodput(div)))
+        out.append(rates)
+    return out
 
 
 def run_fig11(

@@ -26,7 +26,6 @@ import numpy as np
 from repro.channel.models import ChannelModel, RicianChannel
 from repro.core.beamforming import zero_forcing_precoder_wideband
 from repro.obs import metrics, timeseries
-from repro.runtime import register_batched_kernel
 from repro.utils.rng import complex_normal, ensure_rng
 from repro.utils.units import db_to_linear, linear_to_db
 from repro.utils.validation import require
@@ -343,15 +342,6 @@ def mmse_stream_sinr_db(
     require(n_rx >= n_tx, "MMSE separation needs n_rx >= n_tx streams")
     snr_scale = per_stream_power / noise_power
     eye = np.eye(n_tx)
-    if channels.ndim == 3:
-        n_bins = channels.shape[0]
-        sinr = np.empty((n_tx, n_bins))
-        for b in range(n_bins):
-            h = channels[b]
-            gram = eye + snr_scale * (h.conj().T @ h)
-            inv_diag = np.real(np.diag(np.linalg.inv(gram)))
-            sinr[:, b] = 1.0 / np.maximum(inv_diag, 1e-12) - 1.0
-        return linear_to_db(np.maximum(sinr, 1e-12))
     gram = eye + snr_scale * (np.conj(np.swapaxes(channels, -1, -2)) @ channels)
     inv_diag = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
     sinr = 1.0 / np.maximum(inv_diag, 1e-12) - 1.0  # (..., B, n_tx)
@@ -370,36 +360,15 @@ def unicast_snr_db(channels: np.ndarray, client: int, ap: int,
 # ---------------------------------------------------------------------------
 
 
-def sinr_grid_kernel(params, seed):
-    """One fast-path trial: joint-ZF SINR statistics of a random topology.
+def sinr_grid_kernel(params, seeds):
+    """Fast-path trials: joint-ZF SINR statistics of random topologies.
 
-    A pure ``(params, seed) -> result`` kernel for the sweep engine — one
-    NxN draw from the band, corrupted estimate, per-device phase errors,
-    and the resulting post-beamforming SINR summary.
-    """
-    rng = ensure_rng(seed)
-    n = params["n"]
-    error_model = params["error_model"]
-    snrs = draw_band_snrs(tuple(params["band"]), n, n, rng)
-    channels = build_channel_tensor(snrs, rng)
-    est = error_model.corrupt_estimate(channels, snrs, rng)
-    errors = error_model.phase_errors(n, rng)
-    sinr_db = joint_zf_sinr_db(channels, phase_errors=errors, est_channels=est)
-    return {
-        "mean_sinr_db": float(np.mean(sinr_db)),
-        "min_sinr_db": float(np.min(sinr_db)),
-        "max_sinr_db": float(np.max(sinr_db)),
-    }
-
-
-def sinr_grid_kernel_batch(params, seeds):
-    """Batched :func:`sinr_grid_kernel`: one array pass over many trials.
-
-    RNG draws stay per-trial — each seed's generator consumes exactly the
-    draws the scalar kernel would (band SNRs, link taps, estimation noise,
-    phase errors, in that order) — while the FFTs, ZF inversions and SINR
-    reductions run once over the stacked trial axis.  Results are
-    bit-identical to mapping :func:`sinr_grid_kernel` over ``seeds``.
+    A pure ``(params, seeds) -> [result per seed]`` kernel for the sweep
+    engine.  RNG draws stay per-trial — each seed's generator draws, in
+    order, the NxN band SNRs, the link taps, the estimation noise and the
+    per-device phase errors — while the FFTs, ZF inversions and SINR
+    reductions run once over the stacked trial axis, so each trial's
+    result is the same whatever batch it runs in.
     """
     n = int(params["n"])
     band = tuple(params["band"])
@@ -473,7 +442,3 @@ def run_sinr_grid(
         }
     return out
 
-
-# The batched twin is registered at import time so every entry point —
-# run_sinr_grid, the CLI, the bench script — can resolve it by kernel.
-register_batched_kernel(sinr_grid_kernel, sinr_grid_kernel_batch)

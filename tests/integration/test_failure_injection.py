@@ -157,20 +157,19 @@ class TestSimulatorUnderStress:
 # ---------------------------------------------------------------------------
 
 
-def draw_kernel(params, seed):
+def draw_kernel(params, seeds):
     """Well-behaved picklable kernel for the reference serial runs."""
-    rng = np.random.default_rng(seed)
-    return float(rng.standard_normal())
+    return [float(np.random.default_rng(seed).standard_normal()) for seed in seeds]
 
 
-def raising_in_worker_kernel(params, seed):
+def raising_in_worker_kernel(params, seeds):
     """Raises inside pool workers only; clean when retried in the parent."""
     if os.environ.get(WORKER_ENV_FLAG):
         raise RuntimeError("injected kernel failure")
-    return draw_kernel(params, seed)
+    return draw_kernel(params, seeds)
 
 
-def worker_suicide_kernel(params, seed):
+def worker_suicide_kernel(params, seeds):
     """SIGKILLs the hosting pool worker; clean when retried in the parent.
 
     Killing -9 breaks the whole ProcessPoolExecutor (BrokenProcessPool on
@@ -179,7 +178,7 @@ def worker_suicide_kernel(params, seed):
     """
     if os.environ.get(WORKER_ENV_FLAG):
         os.kill(os.getpid(), signal.SIGKILL)
-    return draw_kernel(params, seed)
+    return draw_kernel(params, seeds)
 
 
 CELLS = [CellSpec(key=n, params=None, n_trials=6) for n in range(3)]

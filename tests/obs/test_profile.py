@@ -298,37 +298,3 @@ class TestCliProfile:
         from repro.cli import main
 
         assert main(["obs", "profile", str(tmp_path / "absent.jsonl")]) == 1
-
-
-class TestBenchTrendColumns:
-    def bench_record(self, run_id, metrics):
-        from repro.obs.ledger import RunRecord
-
-        return RunRecord(
-            run_id=run_id, ts=1.75e9, command="bench", argv=["--quick"],
-            duration_s=1.0, git_sha="f" * 40, git_dirty=False,
-            config_hash="abc123def456", config={}, metrics=metrics,
-        )
-
-    def test_speedup_rows_carry_overhead_shares(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.obs.ledger import Ledger
-
-        ledger = Ledger(tmp_path / "runs")
-        ledger.append(self.bench_record("r1", {"bench.fig9.speedup": 1.4}))
-        ledger.append(self.bench_record("r2", {
-            "bench.fig9.speedup": 1.6,
-            "bench.fig9.dispatch_frac": 0.12,
-            "bench.fig9.serialization_frac": 0.034,
-        }))
-        assert main(["obs", "bench", "trend",
-                     "--ledger", str(tmp_path / "runs")]) == 0
-        out = capsys.readouterr().out
-        assert "disp%" in out and "ser%" in out
-        (speedup_row,) = [line for line in out.splitlines()
-                          if line.startswith("bench.fig9.speedup")]
-        assert "12.0%" in speedup_row and "3.4%" in speedup_row
-        # non-speedup rows leave the overhead columns blank
-        (frac_row,) = [line for line in out.splitlines()
-                       if line.startswith("bench.fig9.dispatch_frac")]
-        assert frac_row.split()[-2:] == ["-", "-"]

@@ -1,16 +1,19 @@
-"""Property-based tests of the batched (vectorized) kernel paths.
+"""Property-based tests of the batch-first (vectorized) kernel paths.
 
-The batched execution backend rests on three families of invariants:
+Batch-first sweep kernels rest on four families of invariants:
 
-* **batch-of-1 equivalence** — feeding a kernel a stack of trials yields,
-  per trial slice, exactly what the scalar (3-D) reference path produces.
-  Everything except :func:`nulling_inr_db` is bitwise; nulling swaps a
-  gemv for a batched gemm and is pinned at tight tolerance instead;
+* **batch-of-1 equivalence** — feeding a physics function a stack of
+  trials yields, per trial slice, exactly what the unbatched (3-D) call
+  produces.  Everything except :func:`nulling_inr_db` is bitwise; nulling
+  keeps a per-subcarrier gemv loop for 3-D input beside a batched gemm
+  and is pinned at tight tolerance instead;
 * **shape/dtype invariants** — batch axes pass through untouched and
   outputs are real float arrays whatever the topology dimensions;
 * **permutation invariance** — trials own independent seed streams, so
   permuting the seed list permutes the per-trial results (and leaves any
-  aggregate over trials unchanged).
+  aggregate over trials unchanged);
+* **chunk-geometry invariance** — every sweep kernel's result for a seed
+  is the same, bit for bit, whatever batch the seed runs in.
 """
 
 import math
@@ -18,12 +21,16 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.constants import SAMPLE_RATE_USRP, SNR_BANDS_DB
 from repro.core.beamforming import (
     snr_reduction_from_misalignment,
     snr_reduction_grid,
     zero_forcing_precoder_wideband,
 )
 from repro.mac.rate import EffectiveSnrRateSelector
+from repro.runtime import seed_sequence
+from repro.sim.ablations import sync_ablation_kernel
+from repro.sim.experiments import fig6_kernel, fig8_kernel, fig9_kernel, fig11_kernel
 from repro.sim.fastsim import (
     SyncErrorModel,
     diversity_snr_db,
@@ -31,8 +38,8 @@ from repro.sim.fastsim import (
     mmse_stream_sinr_db,
     nulling_inr_db,
     sinr_grid_kernel,
-    sinr_grid_kernel_batch,
 )
+from repro.utils.units import linear_to_db
 
 dims = st.integers(min_value=2, max_value=4)
 batch_sizes = st.integers(min_value=1, max_value=3)
@@ -49,6 +56,19 @@ def _stack(seed, batch, n_bins, n_rx, n_tx):
     channels = _complex(rng, (batch, n_bins, n_rx, n_tx))
     phases = rng.uniform(-np.pi, np.pi, n_tx)
     return channels, phases
+
+
+def _mmse_per_bin(channels, noise_power=1.0, per_stream_power=1.0):
+    """Reference MMSE per-stream SINR (dB): one 2-D inverse per subcarrier."""
+    n_bins, _, n_tx = channels.shape
+    eye = np.eye(n_tx)
+    sinr = np.empty((n_tx, n_bins))
+    for b in range(n_bins):
+        h = channels[b]
+        gram = eye + (per_stream_power / noise_power) * (h.conj().T @ h)
+        inv_diag = np.real(np.diag(np.linalg.inv(gram)))
+        sinr[:, b] = 1.0 / np.maximum(inv_diag, 1e-12) - 1.0
+    return linear_to_db(np.maximum(sinr, 1e-12))
 
 
 class TestBatchOfOneMatchesScalar:
@@ -85,6 +105,16 @@ class TestBatchOfOneMatchesScalar:
         for t in range(batch):
             scalar = mmse_stream_sinr_db(channels[t], noise_power=0.5)
             np.testing.assert_array_equal(batched[t], scalar)
+
+    @given(seed=seeds, batch=batch_sizes, n=dims, n_bins=bins)
+    @settings(max_examples=25, deadline=None)
+    def test_mmse_matches_per_bin_reference(self, seed, batch, n, n_bins):
+        channels, _ = _stack(seed, batch, n_bins, n, n)
+        for t in range(batch):
+            np.testing.assert_array_equal(
+                mmse_stream_sinr_db(channels[t], noise_power=0.5),
+                _mmse_per_bin(channels[t], noise_power=0.5),
+            )
 
     @given(seed=seeds, batch=batch_sizes, n_aps=dims, n_bins=bins)
     @settings(max_examples=25, deadline=None)
@@ -167,21 +197,43 @@ class TestShapeDtypeInvariants:
         assert out.dtype == np.float64
 
 
-class TestTrialPermutationInvariance:
-    PARAMS = {
-        "n": 2,
-        "band": (18.0, 22.0),
+#: Every sweep kernel with a tiny parameter set.
+KERNELS = {
+    "sinr_grid": (sinr_grid_kernel, {
+        "n": 2, "band": (18.0, 22.0), "error_model": SyncErrorModel(),
+    }),
+    "fig6": (fig6_kernel, {
+        "n_rx": 2, "n_tx": 2, "misalignments": [0.0, 0.25], "snrs_db": [10.0],
+    }),
+    "fig8": (fig8_kernel, {
+        "band": SNR_BANDS_DB["high"], "n": 3, "n_packets": 2,
         "error_model": SyncErrorModel(),
-    }
+    }),
+    "fig9": (fig9_kernel, {
+        "band": SNR_BANDS_DB["low"], "n": 3, "error_model": SyncErrorModel(),
+        "sample_rate": SAMPLE_RATE_USRP, "max_penalty_db": 2.0,
+    }),
+    "fig11": (fig11_kernel, {
+        "n_aps": 2, "snr_db": [0.0, 10.0], "error_model": SyncErrorModel(),
+        "sample_rate": SAMPLE_RATE_USRP,
+    }),
+    "sync_ablation": (sync_ablation_kernel, {
+        "strategies": ("megamimo", "none"), "delays_s": [2e-3],
+    }),
+}
+
+
+class TestTrialPermutationInvariance:
+    PARAMS = KERNELS["sinr_grid"][1]
 
     @given(master=seeds, order_seed=seeds, n_trials=st.integers(2, 6))
     @settings(max_examples=10, deadline=None)
     def test_permuting_seeds_permutes_results(self, master, order_seed,
                                               n_trials):
         trial_seeds = [master + i for i in range(n_trials)]
-        results = sinr_grid_kernel_batch(self.PARAMS, trial_seeds)
+        results = sinr_grid_kernel(self.PARAMS, trial_seeds)
         perm = np.random.default_rng(order_seed).permutation(n_trials)
-        permuted = sinr_grid_kernel_batch(
+        permuted = sinr_grid_kernel(
             self.PARAMS, [trial_seeds[i] for i in perm]
         )
         assert permuted == [results[i] for i in perm]
@@ -191,10 +243,14 @@ class TestTrialPermutationInvariance:
         assert math.fsum(r["mean_sinr_db"] for r in permuted) / n_trials == agg
 
     @given(master=seeds, n_trials=st.integers(1, 4))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=5, deadline=None)
     def test_batch_matches_scalar_map(self, master, n_trials):
-        trial_seeds = [master + i for i in range(n_trials)]
-        batched = sinr_grid_kernel_batch(self.PARAMS, trial_seeds)
-        assert batched == [
-            sinr_grid_kernel(self.PARAMS, s) for s in trial_seeds
-        ]
+        """Chunk-geometry invariance: for every sweep kernel, one call over
+        a chunk of seeds equals the concatenated batch-of-one calls."""
+        trial_seeds = [seed_sequence(master, "prop", 0, t) for t in range(n_trials)]
+        for name, (kernel, params) in KERNELS.items():
+            batched = kernel(params, trial_seeds)
+            assert len(batched) == n_trials, name
+            assert batched == [
+                r for s in trial_seeds for r in kernel(params, [s])
+            ], name

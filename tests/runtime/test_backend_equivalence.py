@@ -1,10 +1,12 @@
 """Differential harness: every sweep kernel under every execution backend.
 
-Each workload below is a tiny configuration of one of the registered sweep
-runners.  For each (workload, backend) pair we assert that the backend
-reproduces the serial reference **bit for bit** — equality is checked on a
-SHA-256 digest of the canonical-JSON rendering of the full result payload,
-so a single ULP of drift anywhere fails the pair.
+Each workload below is a tiny configuration of one of the sweep runners.
+The *serial* reference runs it in-parent with one trial per kernel call
+(the scalar geometry); for each (workload, backend) pair we assert that
+the backend, with its own chunk geometry, reproduces that reference **bit
+for bit** — equality is checked on a SHA-256 digest of the canonical-JSON
+rendering of the full result payload, so a single ULP of drift anywhere
+fails the pair.
 
 Cross-machine stability is pinned separately: a scalar aggregate of each
 serial payload is compared against ``tests/data/golden.json`` at rel=1e-9
@@ -19,10 +21,10 @@ from pathlib import Path
 import pytest
 
 from repro.obs.events import jsonable
-from repro.runtime import SweepError
+from repro.runtime import CellSpec, CheckpointMismatch, drain_overheads, engine, run_sweep
 from repro.sim.ablations import run_sync_strategy_ablation
 from repro.sim.experiments import run_fig6, run_fig8, run_fig9, run_fig11
-from repro.sim.fastsim import run_sinr_grid
+from repro.sim.fastsim import SyncErrorModel, run_sinr_grid, sinr_grid_kernel
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "data" / "golden.json").read_text()
@@ -55,7 +57,7 @@ def aggregate(payload) -> float:
 # ---------------------------------------------------------------------------
 # Workload registry: name -> runner(**runtime_kwargs) -> jsonable payload.
 # Configurations are deliberately tiny; the point is coverage of every
-# registered sweep kernel, not statistical power.
+# sweep kernel, not statistical power.
 # ---------------------------------------------------------------------------
 
 
@@ -110,28 +112,25 @@ WORKLOADS = {
     "sync_ablation": _sync_ablation,
 }
 
-# Workloads whose kernels have a registered batched twin.
-BATCHED_WORKLOADS = ("sinr_grid", "fig6", "fig9")
-
 BACKEND_KWARGS = {
-    "thread": {"backend": "thread", "workers": 2},
+    "batched": {"backend": "batched"},
     "process": {"backend": "process", "workers": 2},
     "auto": {"backend": "auto", "workers": 2},
-    "batched": {"backend": "batched"},
 }
 
 PAIRS = [
-    (workload, backend)
-    for workload in WORKLOADS
-    for backend in ("thread", "process", "auto")
-] + [(workload, "batched") for workload in BATCHED_WORKLOADS]
+    (workload, backend) for workload in WORKLOADS for backend in BACKEND_KWARGS
+]
 
 _serial_cache: dict = {}
 
 
 def serial_payload(workload: str):
+    """The workload run in-parent with one trial per kernel call."""
     if workload not in _serial_cache:
-        _serial_cache[workload] = WORKLOADS[workload](backend="serial")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "BATCHED_CHUNK_SIZE", 1)
+            _serial_cache[workload] = WORKLOADS[workload](backend="batched")
     return _serial_cache[workload]
 
 
@@ -150,15 +149,14 @@ def test_serial_aggregate_matches_golden(workload):
     assert aggregate(serial_payload(workload)) == pytest.approx(expected, rel=1e-9)
 
 
-def test_batched_backend_requires_registered_twin():
-    with pytest.raises(SweepError, match="batched"):
-        run_fig8(
-            seed=3,
-            n_receivers=(2,),
-            n_topologies=2,
-            n_packets=1,
-            backend="batched",
-        )
+def test_per_trial_loop_kernels_run_batched():
+    """fig8, fig11 and the sync ablation loop over their seeds; they run
+    in-parent under ``batched`` like the stacked kernels."""
+    for workload in ("fig8", "fig11", "sync_ablation"):
+        drain_overheads()
+        WORKLOADS[workload](backend="batched")
+        (overhead,) = drain_overheads()
+        assert set(overhead["modes"]) == {"batched"}, workload
 
 
 def test_batched_checkpoint_resume_mid_sweep(tmp_path):
@@ -172,13 +170,25 @@ def test_batched_checkpoint_resume_mid_sweep(tmp_path):
     assert digest(resumed) == digest(fresh) == digest(serial_payload("sinr_grid"))
 
 
-def test_serial_checkpoint_resumes_under_thread_backend(tmp_path):
-    """Chunk geometry matches across serial/thread, so checkpoints transfer."""
+def test_pool_checkpoint_resumes_in_parent_at_its_chunk_size(tmp_path):
+    """The chunk size is part of the checkpoint header: a pool checkpoint
+    resumes in-parent only at the pool's chunk size."""
+    cells = [
+        CellSpec(key=n, n_trials=6,
+                 params={"n": n, "band": (18.0, 22.0),
+                         "error_model": SyncErrorModel()})
+        for n in (2, 3)
+    ]
     ck = tmp_path / "grid.jsonl"
-    _sinr_grid(backend="serial", checkpoint=str(ck))
+    fresh = run_sweep("grid", sinr_grid_kernel, cells, master_seed=12,
+                      workers=2, backend="process", checkpoint=str(ck))
     lines = ck.read_text().splitlines()
     ck.write_text("\n".join(lines[:2]) + "\n")
-    resumed = _sinr_grid(
-        backend="thread", workers=2, checkpoint=str(ck), resume=True
-    )
-    assert digest(resumed) == digest(serial_payload("sinr_grid"))
+    with pytest.raises(CheckpointMismatch):
+        run_sweep("grid", sinr_grid_kernel, cells, master_seed=12,
+                  checkpoint=str(ck), resume=True)
+    resumed = run_sweep("grid", sinr_grid_kernel, cells, master_seed=12,
+                        chunk_size=engine.DEFAULT_CHUNK_SIZE,
+                        checkpoint=str(ck), resume=True)
+    assert resumed.resumed_chunks == 1
+    assert resumed.results == fresh.results

@@ -3,9 +3,10 @@
 For the real experiment kernels (fig6, fig9, sync ablation), the aggregated
 results must be *bit-identical* — not approximately equal — across
 
-* ``workers=1`` (pure in-process serial),
+* ``workers=1`` (in-parent, one kernel call per 32-trial chunk),
 * ``workers=4`` (process pool, nondeterministic completion order),
-* a run resumed from a partially-complete checkpoint.
+* a run resumed from a partially-complete checkpoint (at the chunk size
+  the checkpoint was written with, which is part of its header).
 
 That holds because every trial's RNG stream is derived from
 ``(master_seed, sweep, cell, trial)`` rather than from scheduling; see
@@ -33,12 +34,12 @@ class TestFig6:
 
     def test_resumed_matches_fresh_bitwise(self, tmp_path):
         ck = tmp_path / "fig6.jsonl"
-        fresh = run_fig6(seed=1, n_channels=10, checkpoint=str(ck))
+        fresh = run_fig6(seed=1, n_channels=10, checkpoint=str(ck), workers=2)
         # keep only the header + first completed chunk, as if killed early
         lines = ck.read_text().splitlines()
         ck.write_text("\n".join(lines[:2]) + "\n")
         resumed = run_fig6(seed=1, n_channels=10, checkpoint=str(ck),
-                           resume=True, workers=2)
+                           resume=True, workers=4)
         assert_same_arrays(fresh.reduction_db, resumed.reduction_db)
 
 
@@ -61,8 +62,7 @@ class TestFig9:
         lines = ck.read_text().splitlines()
         assert len(lines) > 3  # header + several chunks
         ck.write_text("\n".join(lines[:3]) + "\n")
-        resumed = run_fig9(**self.CONFIG, checkpoint=str(ck), resume=True,
-                           workers=2)
+        resumed = run_fig9(**self.CONFIG, checkpoint=str(ck), resume=True)
         for key, cell in fresh.cells.items():
             other = resumed.cells[key]
             assert np.array_equal(cell.megamimo_bps, other.megamimo_bps), key
@@ -88,11 +88,11 @@ class TestSyncAblation:
     def test_resumed_matches_fresh_bitwise(self, tmp_path):
         ck = tmp_path / "sync.jsonl"
         fresh = run_sync_strategy_ablation(seed=7, n_systems=5,
-                                           checkpoint=str(ck))
+                                           checkpoint=str(ck), workers=2)
         lines = ck.read_text().splitlines()
         assert len(lines) >= 3  # header + at least two chunks
         ck.write_text("\n".join(lines[:2]) + "\n")
         resumed = run_sync_strategy_ablation(seed=7, n_systems=5,
                                              checkpoint=str(ck), resume=True,
-                                             workers=2)
+                                             workers=4)
         assert_same_arrays(fresh.misalignment_rad, resumed.misalignment_rad)

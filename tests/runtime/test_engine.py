@@ -1,7 +1,8 @@
 """Unit tests of the sweep engine: chunking, assembly, checkpointing,
-backend resolution and the batched/thread execution paths."""
+backend resolution and the in-parent/pool execution paths."""
 
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -12,12 +13,9 @@ from repro.runtime import (
     CheckpointMismatch,
     SweepError,
     assemble_results,
-    batched_kernel_for,
     iter_chunks,
     load_completed,
-    register_batched_kernel,
     resolve_backend,
-    run_chunk,
     run_chunk_batched,
     run_sweep,
     sweep_header,
@@ -25,10 +23,13 @@ from repro.runtime import (
 from repro.runtime import engine
 
 
-def mean_kernel(params, seed):
-    """Picklable toy kernel: a seeded draw scaled by the cell's params."""
-    rng = np.random.default_rng(seed)
-    return float(params["scale"] * rng.standard_normal())
+def mean_kernel(params, seeds):
+    """Picklable toy kernel: one seeded draw per seed, scaled by the
+    cell's params."""
+    return [
+        float(params["scale"] * np.random.default_rng(seed).standard_normal())
+        for seed in seeds
+    ]
 
 
 CELLS = [
@@ -57,7 +58,7 @@ class TestAssembly:
         out = {}
         for cell_index, cell in enumerate(CELLS):
             for chunk_index, start, stop in iter_chunks(cell.n_trials, 3):
-                out[(cell_index, chunk_index)] = run_chunk(
+                out[(cell_index, chunk_index)] = run_chunk_batched(
                     mean_kernel, "unit", 0, cell.params, cell_index, start, stop
                 )
         return out
@@ -133,48 +134,36 @@ class TestCheckpoint:
         assert all(rec["type"] == "chunk" for rec in records[1:])
 
 
-def mean_kernel_batch(params, seeds):
-    """Faithful batched twin of :func:`mean_kernel`."""
-    return [mean_kernel(params, s) for s in seeds]
+def short_kernel(params, seeds):
+    return mean_kernel(params, seeds)[:-1]
 
 
-def broken_batch(params, seeds):
-    raise FloatingPointError("stacked matrix went singular")
+#: Chunks (keyed by their first seed) that already failed once.
+_FAILED_ONCE = set()
 
 
-def short_batch(params, seeds):
-    return [mean_kernel(params, s) for s in seeds][:-1]
-
-
-@pytest.fixture
-def mean_batch_registered():
-    register_batched_kernel(mean_kernel, mean_kernel_batch)
-    yield
-    engine._BATCHED_KERNELS.pop(mean_kernel, None)
+def fail_once_kernel(params, seeds):
+    """Raises on a chunk's first call and succeeds on its retry."""
+    key = tuple(seeds[0].spawn_key)
+    if key not in _FAILED_ONCE:
+        _FAILED_ONCE.add(key)
+        raise FloatingPointError("stacked matrix went singular")
+    return mean_kernel(params, seeds)
 
 
 class TestResolveBackend:
     def test_none_keeps_legacy_semantics(self):
-        assert resolve_backend(None, mean_kernel, 1, 1000) == "serial"
+        assert resolve_backend(None, mean_kernel, 1, 1000) == "batched"
         assert resolve_backend(None, mean_kernel, 4, 1) == "process"
 
     def test_literal_backends_pass_through(self):
-        for mode in ("serial", "thread", "process"):
+        for mode in ("batched", "process"):
             assert resolve_backend(mode, mean_kernel, 2, 10) == mode
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu", mean_kernel, 1, 10)
-
-    def test_batched_without_twin_rejected(self):
-        assert batched_kernel_for(mean_kernel) is None
-        with pytest.raises(SweepError, match="register_batched_kernel"):
-            resolve_backend("batched", mean_kernel, 1, 10)
-
-    def test_auto_prefers_batched_twin(self, mean_batch_registered):
-        # a registered twin wins even on one core with one worker
-        assert resolve_backend("auto", mean_kernel, 1, 1) == "batched"
-        assert resolve_backend("auto", mean_kernel, 8, 10**6) == "batched"
+        for mode in ("gpu", "serial", "thread"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                resolve_backend(mode, mean_kernel, 1, 10)
 
     def test_auto_pool_needs_cores_and_trials(self, monkeypatch):
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
@@ -182,54 +171,74 @@ class TestResolveBackend:
             resolve_backend("auto", mean_kernel, 4, POOL_MIN_TRIALS)
             == "process"
         )
-        # too few trials to amortize dispatch envelopes
+        # too few trials to amortize the pool's start-up and dispatch
         assert (
             resolve_backend("auto", mean_kernel, 4, POOL_MIN_TRIALS - 1)
-            == "serial"
+            == "batched"
         )
-        assert resolve_backend("auto", mean_kernel, 1, 10**6) == "serial"
+        assert resolve_backend("auto", mean_kernel, 1, 10**6) == "batched"
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
-        assert resolve_backend("auto", mean_kernel, 4, 10**6) == "serial"
+        assert resolve_backend("auto", mean_kernel, 4, 10**6) == "batched"
 
 
 class TestBatchedExecution:
-    def test_matches_serial(self, mean_batch_registered):
-        serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5)
+    def test_matches_serial(self):
+        # one trial per kernel call is the scalar reference geometry
+        serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
+                           chunk_size=1)
         batched = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
                             backend="batched")
         assert batched.results == serial.results
         assert batched.chunk_failures == 0
 
-    def test_run_sweep_rejects_unregistered_batched(self):
-        with pytest.raises(SweepError, match="batched"):
-            run_sweep("unit", mean_kernel, CELLS, master_seed=5,
-                      backend="batched")
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(SweepError, match="3 results for 4 seeds"):
-            run_chunk_batched(short_batch, "unit", 0, {"scale": 1.0}, 0, 0, 4)
+            run_chunk_batched(short_kernel, "unit", 0, {"scale": 1.0}, 0, 0, 4)
+
+    @pytest.mark.parametrize("backend", ["batched", "process"])
+    def test_length_mismatch_fails_the_sweep(self, backend):
+        # the retry re-runs the same kernel, so the mismatch propagates
+        with pytest.raises(SweepError, match="results for"):
+            run_sweep("unit", short_kernel, CELLS, master_seed=5,
+                      workers=2, backend=backend)
 
     def test_failed_chunk_retries_serially(self):
-        register_batched_kernel(mean_kernel, broken_batch)
-        try:
-            serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5)
-            degraded = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
-                                 chunk_size=4, backend="batched")
-        finally:
-            engine._BATCHED_KERNELS.pop(mean_kernel, None)
+        _FAILED_ONCE.clear()
+        serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5)
+        degraded = run_sweep("unit", fail_once_kernel, CELLS, master_seed=5,
+                             chunk_size=4, backend="batched")
         assert degraded.results == serial.results
         assert degraded.chunk_failures == len(
             [c for cell in CELLS for c in iter_chunks(cell.n_trials, 4)]
         )
 
 
-class TestThreadBackend:
+def sigterm_default_kernel(params, seeds):
+    return [signal.getsignal(signal.SIGTERM) == signal.SIG_DFL] * len(seeds)
+
+
+class TestProcessBackend:
     def test_matches_serial(self):
-        serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5)
-        threaded = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
-                             workers=2, backend="thread")
-        assert threaded.results == serial.results
-        assert threaded.chunk_failures == 0
+        serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
+                           chunk_size=1)
+        pooled = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
+                           workers=2, backend="process")
+        assert pooled.results == serial.results
+        assert pooled.chunk_failures == 0
+
+    def test_workers_restore_default_sigterm(self):
+        # a parent-side SIGTERM handler (e.g. the CLI's crash-bundle guard)
+        # must not run in pool workers the watchdog terminates
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            r = run_sweep("sig", sigterm_default_kernel,
+                          [CellSpec(key="a", params=None, n_trials=4)],
+                          master_seed=0, workers=2, chunk_size=2,
+                          backend="process")
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert r.results == [[True] * 4]
+        assert r.chunk_failures == 0
 
 
 class TestValidation:

@@ -16,15 +16,19 @@ from repro.runtime import (
     CellSpec,
     MEMORY_ENV_FLAG,
     drain_overheads,
-    run_chunk_instrumented,
+    run_chunk,
+    run_chunk_batched,
     run_sweep,
 )
 
 
-def mean_kernel(params, seed):
-    """Picklable toy kernel: a seeded draw scaled by the cell's params."""
-    rng = np.random.default_rng(seed)
-    return float(params["scale"] * rng.standard_normal())
+def mean_kernel(params, seeds):
+    """Picklable toy kernel: one seeded draw per seed, scaled by the
+    cell's params."""
+    return [
+        float(params["scale"] * np.random.default_rng(seed).standard_normal())
+        for seed in seeds
+    ]
 
 
 CELLS = [
@@ -40,7 +44,7 @@ def components_sum(worker: dict) -> float:
 
 class TestEnvelope:
     def test_instrumented_chunk_carries_accounting(self):
-        env = run_chunk_instrumented(
+        env = run_chunk(
             mean_kernel, "unit", 0, CELLS[0].params, 0, 0, 0, 4
         )
         assert [t for t, _ in env["pairs"]] == [0, 1, 2, 3]
@@ -51,7 +55,7 @@ class TestEnvelope:
         assert env["ser_result_s"] >= 0.0
 
     def test_measure_ser_false_skips_the_pickle_probe(self):
-        env = run_chunk_instrumented(
+        env = run_chunk(
             mean_kernel, "unit", 0, CELLS[0].params, 0, 0, 0, 4,
             measure_ser=False,
         )
@@ -59,12 +63,10 @@ class TestEnvelope:
         assert env["ser_result_s"] == 0.0
 
     def test_envelope_never_alters_results(self):
-        from repro.runtime import run_chunk
-
-        env = run_chunk_instrumented(
+        env = run_chunk(
             mean_kernel, "unit", 0, CELLS[0].params, 0, 0, 0, 4
         )
-        assert env["pairs"] == run_chunk(
+        assert env["pairs"] == run_chunk_batched(
             mean_kernel, "unit", 0, CELLS[0].params, 0, 0, 4
         )
 
@@ -76,7 +78,7 @@ class TestSerialAttribution:
         o = r.overhead
         assert o is not None
         assert o["workers"] == 1
-        assert set(o["modes"]) == {"serial"}
+        assert set(o["modes"]) == {"batched"}
         assert o["trials"] == sum(c.n_trials for c in CELLS)
         (worker,) = o["per_worker"]
         assert worker["worker"] == "parent"

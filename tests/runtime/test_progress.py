@@ -14,15 +14,15 @@ from repro.runtime import CellSpec, run_sweep
 from repro.runtime.engine import WORKER_ENV_FLAG
 
 
-def steady_kernel(params, seed):
-    return float(params["value"])
+def steady_kernel(params, seeds):
+    return [float(params["value"])] * len(seeds)
 
 
-def fail_in_worker_kernel(params, seed):
+def fail_in_worker_kernel(params, seeds):
     """Raises inside pool workers; succeeds on the parent's serial retry."""
     if os.environ.get(WORKER_ENV_FLAG):
         raise RuntimeError("injected worker failure")
-    return float(params["value"])
+    return steady_kernel(params, seeds)
 
 
 CELLS = [

@@ -44,10 +44,13 @@ def _fault_hygiene():
     blackbox.drain_bundles()
 
 
-def mean_kernel(params, seed):
-    """Picklable toy kernel: a seeded draw scaled by the cell's params."""
-    rng = np.random.default_rng(seed)
-    return float(params["scale"] * rng.standard_normal())
+def mean_kernel(params, seeds):
+    """Picklable toy kernel: one seeded draw per seed, scaled by the
+    cell's params."""
+    return [
+        float(params["scale"] * np.random.default_rng(seed).standard_normal())
+        for seed in seeds
+    ]
 
 
 CELLS = [
@@ -62,7 +65,7 @@ class TestKnobs:
         assert watchdog_enabled()
         monkeypatch.setenv(WATCHDOG_ENV, "0")
         assert not watchdog_enabled()
-        assert ChunkWatchdog.create("s", "serial") is None
+        assert ChunkWatchdog.create("s", "batched") is None
 
     def test_timeout_override_parsing(self, monkeypatch):
         monkeypatch.delenv(TIMEOUT_ENV, raising=False)
@@ -84,34 +87,34 @@ class TestDeadline:
 
     def test_floor_until_enough_samples(self, monkeypatch):
         monkeypatch.delenv(TIMEOUT_ENV, raising=False)
-        dog = ChunkWatchdog("s", "thread")
+        dog = ChunkWatchdog("s", "process")
         for i in range(watchdog.MIN_DURATION_SAMPLES - 1):
             dog.completed((0, i, 0, 1), wall_s=100.0)
         assert dog.deadline_s == DEFAULT_FLOOR_S
 
     def test_derived_deadline_tracks_p95(self, monkeypatch):
         monkeypatch.delenv(TIMEOUT_ENV, raising=False)
-        dog = ChunkWatchdog("s", "thread")
+        dog = ChunkWatchdog("s", "process")
         for i in range(10):
             dog.completed((0, i, 0, 1), wall_s=50.0)
         assert dog.deadline_s == pytest.approx(
             watchdog.DEADLINE_MULTIPLIER * 50.0
         )
         # ...but never below the floor for fast chunks
-        fast = ChunkWatchdog("s", "thread")
+        fast = ChunkWatchdog("s", "process")
         for i in range(10):
             fast.completed((0, i, 0, 1), wall_s=0.01)
         assert fast.deadline_s == DEFAULT_FLOOR_S
 
     def test_override_wins(self, monkeypatch):
         monkeypatch.setenv(TIMEOUT_ENV, "1.5")
-        dog = ChunkWatchdog("s", "thread")
+        dog = ChunkWatchdog("s", "process")
         for i in range(10):
             dog.completed((0, i, 0, 1), wall_s=50.0)
         assert dog.deadline_s == 1.5
 
     def test_accounting_and_abandon(self):
-        dog = ChunkWatchdog("s", "thread")
+        dog = ChunkWatchdog("s", "process")
         dog.submitted((0, 0, 0, 2))
         dog.submitted((1, 0, 0, 2))
         dog.completed((0, 0, 0, 2), wall_s=0.1)
@@ -175,13 +178,9 @@ class TestStallRecovery:
         monkeypatch.setenv(TIMEOUT_ENV, "0.6")
 
     def test_serial_backend_recovers(self, reference, hang):
+        # the in-parent backend: the hang blocks the main thread itself
         r = run_sweep("wd", mean_kernel, CELLS, master_seed=7,
-                      chunk_size=2, backend="serial")
-        _assert_recovered(r, reference, os.environ["REPRO_RUNS_DIR"])
-
-    def test_thread_backend_recovers(self, reference, hang):
-        r = run_sweep("wd", mean_kernel, CELLS, master_seed=7,
-                      chunk_size=2, workers=2, backend="thread")
+                      chunk_size=2, backend="batched")
         _assert_recovered(r, reference, os.environ["REPRO_RUNS_DIR"])
 
     def test_process_backend_recovers(self, reference, hang):
@@ -191,11 +190,11 @@ class TestStallRecovery:
 
     def test_stall_telemetry_and_builtin_alert(self, reference, hang):
         run_sweep("wd", mean_kernel, CELLS, master_seed=7,
-                  chunk_size=2, workers=2, backend="thread")
+                  chunk_size=2, workers=2, backend="process")
         # the monitor thread recorded the stall on the flight recorder...
         (event,) = get_recorder().snapshot(kind="runtime.watchdog")
         assert event["data"]["sweep"] == "wd"
-        assert event["data"]["mode"] == "thread"
+        assert event["data"]["mode"] == "process"
         # ...and into the time-series store, where the builtin critical
         # rule declares it on the next evaluation pass
         engine = AlertEngine(builtin_rules())
@@ -209,7 +208,7 @@ class TestStallRecovery:
         monkeypatch.setenv(HANG_CHUNK_ENV, "0:1:0.4")
         monkeypatch.setenv(WATCHDOG_ENV, "0")
         r = run_sweep("wd", mean_kernel, CELLS, master_seed=7,
-                      chunk_size=2, workers=2, backend="thread")
+                      chunk_size=2, workers=2, backend="process")
         assert r.results == reference.results
         assert r.watchdog_stalls == 0
         assert r.chunk_failures == 0

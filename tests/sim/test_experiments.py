@@ -80,21 +80,28 @@ class TestFig12And13:
 class TestScreening:
     def test_penalty_scale_invariant(self):
         rng = np.random.default_rng(0)
-        ch = draw_screened_channels(3, rng, max_penalty_db=None)
+        (ch,) = draw_screened_channels(3, [rng], max_penalty_db=None)
         assert zf_penalty_db(ch) == pytest.approx(zf_penalty_db(ch * 7.0), abs=1e-9)
 
+    def test_stacked_penalty_matches_per_topology(self):
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        stack = draw_screened_channels(4, rngs, max_penalty_db=None)
+        penalties = zf_penalty_db(stack)
+        assert penalties.shape == (3,)
+        assert isinstance(zf_penalty_db(stack[0]), float)
+        assert list(penalties) == [zf_penalty_db(ch) for ch in stack]
+
     def test_screening_bounds_penalty(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            ch = draw_screened_channels(4, rng, max_penalty_db=3.0)
+        rngs = [np.random.default_rng(1 + s) for s in range(5)]
+        for ch in draw_screened_channels(4, rngs, max_penalty_db=3.0):
             assert zf_penalty_db(ch) <= 3.5  # best-effort fallback allowed
 
     def test_unscreened_often_worse(self):
         rng = np.random.default_rng(2)
         screened = np.mean(
-            [zf_penalty_db(draw_screened_channels(6, rng, 2.0)) for _ in range(10)]
+            [zf_penalty_db(draw_screened_channels(6, [rng], 2.0)[0]) for _ in range(10)]
         )
         raw = np.mean(
-            [zf_penalty_db(draw_screened_channels(6, rng, None)) for _ in range(10)]
+            [zf_penalty_db(draw_screened_channels(6, [rng], None)[0]) for _ in range(10)]
         )
         assert screened < raw
