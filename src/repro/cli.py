@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import get_logger, metrics, setup_logging, trace
-from repro.runtime import BACKENDS
+from repro.runtime import SELECTABLE_BACKENDS
 
 logger = get_logger(__name__)
 
@@ -138,7 +138,7 @@ def _add_runtime_options(p: argparse.ArgumentParser) -> None:
              "results are bit-identical for any N)",
     )
     group.add_argument(
-        "--backend", choices=BACKENDS, default=None,
+        "--backend", choices=SELECTABLE_BACKENDS, default=None,
         help="sweep execution backend: 'batched' runs chunks in-parent, "
              "'process' on a pool of --workers, 'auto' picks the pool only "
              "for --workers > 1 on >= 2 CPUs and large sweeps (default: "

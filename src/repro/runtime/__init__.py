@@ -4,8 +4,10 @@ Public surface:
 
 * :func:`run_sweep` / :class:`CellSpec` / :class:`SweepResult` — the
   backend-selecting sweep engine (:mod:`repro.runtime.engine`).
-* :data:`BACKENDS` / :func:`resolve_backend` — the execution-backend
-  layer (in-parent ``batched`` / ``process`` pool / ``auto``).  Every
+* :data:`SELECTABLE_BACKENDS` / :func:`resolve_backend` — the
+  execution-backend layer (in-parent ``batched`` / ``process`` pool /
+  ``auto``); :data:`BACKENDS` also keeps the retired ``serial`` and
+  ``thread`` names, whose positions benchmark records use as codes.  Every
   kernel is batch-first, ``kernel(params, seeds) -> [result per seed]``,
   and runs on every backend.
 * :func:`run_chunk` / :func:`run_chunk_batched` — one work item: the
@@ -35,6 +37,7 @@ from repro.runtime.engine import (
     DEFAULT_CHUNK_SIZE,
     MEMORY_ENV_FLAG,
     POOL_MIN_TRIALS,
+    SELECTABLE_BACKENDS,
     WORKER_ENV_FLAG,
     CellSpec,
     SweepError,
@@ -68,6 +71,7 @@ __all__ = [
     "HangCancelled",
     "MEMORY_ENV_FLAG",
     "POOL_MIN_TRIALS",
+    "SELECTABLE_BACKENDS",
     "SweepError",
     "SweepResult",
     "TIMEOUT_ENV",

@@ -62,6 +62,22 @@ def sweep_header(
     }
 
 
+def header_chunk_size(path: str) -> Optional[int]:
+    """The chunk size recorded in ``path``'s header, or None if the file is
+    missing or has no complete header line."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        line = f.readline()
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(header, dict) or header.get("type") != "header":
+        return None
+    return int(header["chunk_size"])
+
+
 def load_completed(
     path: str, expected_header: Dict[str, Any]
 ) -> Dict[Tuple[int, int], List[list]]:

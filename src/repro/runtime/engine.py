@@ -71,7 +71,7 @@ from repro.obs.profile import attribute_chunks
 from repro.obs.progress import SweepProgress
 from repro.obs.timeseries import get_store
 from repro.runtime import faults
-from repro.runtime.checkpoint import open_checkpoint, sweep_header
+from repro.runtime.checkpoint import header_chunk_size, open_checkpoint, sweep_header
 from repro.runtime.seeding import seed_sequence
 from repro.runtime.watchdog import ChunkWatchdog
 from repro.utils.validation import require
@@ -89,7 +89,16 @@ DEFAULT_CHUNK_SIZE = 4
 BATCHED_CHUNK_SIZE = 32
 
 #: The selectable execution backends (see :func:`resolve_backend`).
-BACKENDS = ("auto", "batched", "process")
+SELECTABLE_BACKENDS = ("auto", "batched", "process")
+
+#: Retired backend names -> the backend that replaced them.
+RETIRED_BACKENDS = {"serial": "batched", "thread": "process"}
+
+#: Every backend name, selectable or retired.  A name's position is its
+#: code in benchmark records (``runtime.backend.<sweep>``: 3 process,
+#: 4 batched), so the retired names keep their slots until those records
+#: carry backend names instead.
+BACKENDS = ("auto", "serial", "thread", "process", "batched")
 
 #: ``auto``: minimum total trials before it picks the process pool over
 #: in-parent execution.  Measured on a 2-vCPU VM (2 workers, min of 3):
@@ -178,6 +187,8 @@ def resolve_backend(
       ``POOL_MIN_TRIALS`` trials to amortize the pool's start-up and
       dispatch; otherwise ``batched``.
     * ``"batched"`` and ``"process"`` are taken literally.
+    * The retired ``"serial"`` and ``"thread"`` raise ``ValueError``
+      naming their replacement.
 
     Every kernel runs on every backend, so ``kernel`` does not affect the
     choice; it is part of the signature for tools that report the
@@ -186,8 +197,13 @@ def resolve_backend(
     if backend is None:
         return "process" if workers > 1 else "batched"
     require(
-        backend in BACKENDS,
-        f"unknown backend {backend!r}; expected one of {BACKENDS}",
+        backend not in RETIRED_BACKENDS,
+        f"backend {backend!r} was removed; use "
+        f"{RETIRED_BACKENDS.get(backend)!r}",
+    )
+    require(
+        backend in SELECTABLE_BACKENDS,
+        f"unknown backend {backend!r}; expected one of {SELECTABLE_BACKENDS}",
     )
     if backend == "auto":
         if workers > 1 and _usable_cpus() >= 2 and total_trials >= POOL_MIN_TRIALS:
@@ -496,17 +512,16 @@ def run_sweep(
         cells: The sweep grid.
         master_seed: Root of all derived seeds.
         workers: Pool size of the process backend; ignored in-parent.
-        chunk_size: Trials per work item.  ``None`` picks the backend's
-            default (``BATCHED_CHUNK_SIZE`` in-parent,
-            ``DEFAULT_CHUNK_SIZE`` on the pool) — note the chunk size is
-            part of the checkpoint header, so resuming a checkpoint under a
-            backend with a different default requires passing the original
-            chunk size explicitly.
+        chunk_size: Trials per work item.  ``None`` resumes at the chunk
+            size in the checkpoint's header (it is part of the header, so
+            a checkpoint resumes on any backend and worker count), and
+            otherwise picks the backend's default (``BATCHED_CHUNK_SIZE``
+            in-parent, ``DEFAULT_CHUNK_SIZE`` on the pool).
         checkpoint: Optional JSONL progress-file path.
         resume: Skip chunks already present in ``checkpoint``.
-        backend: One of :data:`BACKENDS`, or ``None`` (``workers > 1`` ->
-            process pool, else in-parent ``batched``).  See
-            :func:`resolve_backend`.
+        backend: One of :data:`SELECTABLE_BACKENDS`, or ``None``
+            (``workers > 1`` -> process pool, else in-parent ``batched``).
+            See :func:`resolve_backend`.
 
     Returns:
         A :class:`SweepResult` whose ``results`` are bit-identical for any
@@ -517,6 +532,8 @@ def run_sweep(
     require(workers >= 1, "workers must be >= 1")
     total_trials = sum(cell.n_trials for cell in cells)
     mode = resolve_backend(backend, kernel, workers, total_trials)
+    if chunk_size is None and resume and checkpoint is not None:
+        chunk_size = header_chunk_size(checkpoint)
     if chunk_size is None:
         chunk_size = BATCHED_CHUNK_SIZE if mode == "batched" else DEFAULT_CHUNK_SIZE
     # batched chunks run inline in the parent; only the pool occupies

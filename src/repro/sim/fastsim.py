@@ -345,7 +345,11 @@ def mmse_stream_sinr_db(
     gram = eye + snr_scale * (np.conj(np.swapaxes(channels, -1, -2)) @ channels)
     inv_diag = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
     sinr = 1.0 / np.maximum(inv_diag, 1e-12) - 1.0  # (..., B, n_tx)
-    return linear_to_db(np.maximum(np.moveaxis(sinr, -1, -2), 1e-12))
+    # C-contiguous, like the per-bin loop this replaced: callers reduce the
+    # whole array, and a sum follows memory order
+    return np.ascontiguousarray(
+        linear_to_db(np.maximum(np.moveaxis(sinr, -1, -2), 1e-12))
+    )
 
 
 def unicast_snr_db(channels: np.ndarray, client: int, ap: int,

@@ -172,7 +172,7 @@ def test_batched_checkpoint_resume_mid_sweep(tmp_path):
 
 def test_pool_checkpoint_resumes_in_parent_at_its_chunk_size(tmp_path):
     """The chunk size is part of the checkpoint header: a pool checkpoint
-    resumes in-parent only at the pool's chunk size."""
+    resumes in-parent at the pool's chunk size, taken from the header."""
     cells = [
         CellSpec(key=n, n_trials=6,
                  params={"n": n, "band": (18.0, 22.0),
@@ -186,9 +186,9 @@ def test_pool_checkpoint_resumes_in_parent_at_its_chunk_size(tmp_path):
     ck.write_text("\n".join(lines[:2]) + "\n")
     with pytest.raises(CheckpointMismatch):
         run_sweep("grid", sinr_grid_kernel, cells, master_seed=12,
+                  chunk_size=engine.BATCHED_CHUNK_SIZE,
                   checkpoint=str(ck), resume=True)
     resumed = run_sweep("grid", sinr_grid_kernel, cells, master_seed=12,
-                        chunk_size=engine.DEFAULT_CHUNK_SIZE,
                         checkpoint=str(ck), resume=True)
     assert resumed.resumed_chunks == 1
     assert resumed.results == fresh.results

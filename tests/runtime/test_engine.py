@@ -104,6 +104,25 @@ class TestCheckpoint:
             [c for cell in CELLS for c in iter_chunks(cell.n_trials, 3)]
         )
 
+    def test_resume_takes_chunk_size_from_header(self, tmp_path):
+        ck = tmp_path / "sweep.jsonl"
+        fresh = run_sweep("unit", mean_kernel, CELLS, master_seed=3,
+                          chunk_size=3, checkpoint=str(ck))
+        lines = ck.read_text().splitlines()
+        ck.write_text("\n".join(lines[:2]) + "\n")
+        r = run_sweep("unit", mean_kernel, CELLS, master_seed=3,
+                      checkpoint=str(ck), resume=True)
+        assert r.resumed_chunks == 1
+        assert r.results == fresh.results
+        assert json.loads(ck.read_text().splitlines()[0])["chunk_size"] == 3
+
+    def test_resume_of_missing_checkpoint_uses_default_chunk_size(self, tmp_path):
+        ck = tmp_path / "sweep.jsonl"
+        run_sweep("unit", mean_kernel, CELLS, master_seed=3,
+                  checkpoint=str(ck), resume=True)
+        header = json.loads(ck.read_text().splitlines()[0])
+        assert header["chunk_size"] == engine.BATCHED_CHUNK_SIZE
+
     def test_truncated_trailing_line_dropped(self, tmp_path):
         ck = tmp_path / "sweep.jsonl"
         run_sweep("unit", mean_kernel, CELLS, master_seed=3,
@@ -161,9 +180,22 @@ class TestResolveBackend:
             assert resolve_backend(mode, mean_kernel, 2, 10) == mode
 
     def test_unknown_backend_rejected(self):
-        for mode in ("gpu", "serial", "thread"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                resolve_backend(mode, mean_kernel, 1, 10)
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("gpu", mean_kernel, 1, 10)
+
+    def test_retired_backends_rejected(self):
+        with pytest.raises(ValueError, match="'serial' was removed; use 'batched'"):
+            resolve_backend("serial", mean_kernel, 1, 10)
+        with pytest.raises(ValueError, match="'thread' was removed; use 'process'"):
+            resolve_backend("thread", mean_kernel, 2, 10)
+
+    def test_backend_codes_are_stable(self):
+        # benchmark records report a resolved backend by its position
+        assert engine.BACKENDS.index("process") == 3
+        assert engine.BACKENDS.index("batched") == 4
+        assert set(engine.SELECTABLE_BACKENDS) == (
+            set(engine.BACKENDS) - set(engine.RETIRED_BACKENDS)
+        )
 
     def test_auto_pool_needs_cores_and_trials(self, monkeypatch):
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
