@@ -95,8 +95,10 @@ def main() -> int:
         doc = json.loads(show.stdout)
         if doc.get("detail", {}).get("stalled_chunks", 0) < 1:
             failures.append("bundle detail records no stalled chunks")
-        if not doc.get("flightrec", {}).get("records"):
-            failures.append("bundle flight recorder is empty")
+        kinds = {r.get("kind") for r in doc.get("flightrec", {}).get("records", [])}
+        if "runtime.watchdog" not in kinds:
+            failures.append(f"bundle flight recorder has no runtime.watchdog "
+                            f"event: {sorted(k for k in kinds if k)}")
         if "Current thread" not in doc.get("stacks", ""):
             failures.append("bundle stacks.txt captured no threads")
         progress = doc.get("progress") or {}

@@ -7,9 +7,11 @@ endpoint *while the sweep is still running*, and asserts:
 * ``/metrics`` is valid OpenMetrics (HELP/TYPE metadata, ``# EOF``) per
   :func:`repro.obs.export.validate_openmetrics` — a python stand-in for
   ``promtool check metrics``;
-* ``/timeseries`` carries the sweep's live progress series;
+* ``/timeseries`` carries the sweep's live progress (the
+  ``runtime.trials_done`` counter and the ``runtime.worker_utilization``
+  histogram);
 * ``/alerts`` answers with the rule states;
-* ``/events`` delivers at least one SSE frame;
+* ``/events`` delivers the ``hello`` frame and the sweep's events;
 * the run shuts the server down cleanly and exits 0.
 
 The sweep is fig9 at half scale (a few seconds of wall clock) rather
@@ -82,6 +84,14 @@ def probe_sse(url: str, results: dict, proc: subprocess.Popen) -> None:
     results["sse.frames"] = frames
 
 
+def progressed(body: str) -> bool:
+    """True once ``/timeseries`` shows finished trials and a utilization sample."""
+    series = json.loads(body)["series"]
+    done = series.get("runtime.trials_done", {}).get("last") or 0
+    ticks = series.get("runtime.worker_utilization", {}).get("count") or 0
+    return done > 0 and ticks > 0
+
+
 def main() -> int:
     cmd = [sys.executable, "-m", "repro", *SWEEP, "--serve-port", "0"]
     print("+", " ".join(cmd), flush=True)
@@ -112,7 +122,7 @@ def main() -> int:
         threading.Thread(target=probe_sse, args=(url + "/events", results, proc)),
         threading.Thread(target=probe, args=(url + "/metrics", results, "metrics", proc)),
         threading.Thread(target=probe, args=(url + "/timeseries", results, "timeseries", proc),
-                         kwargs={"until": lambda body: '"runtime.' in body}),
+                         kwargs={"until": progressed}),
         threading.Thread(target=probe, args=(url + "/alerts", results, "alerts", proc)),
     ]
     for t in threads:
@@ -141,10 +151,14 @@ def main() -> int:
         print(f"/metrics: valid OpenMetrics, {n_families} families")
     if "timeseries" in results:
         series = json.loads(results["timeseries"])["series"]
-        live = [s for s in series if s.startswith("runtime.")]
-        if not live:
-            failures.append(f"/timeseries has no runtime.* series: {sorted(series)}")
-        print(f"/timeseries: {len(series)} series ({len(live)} runtime.*)")
+        if not progressed(results["timeseries"]):
+            failures.append(
+                "/timeseries never showed sweep progress: "
+                f"{series.get('runtime.trials_done')}, "
+                f"{series.get('runtime.worker_utilization')}"
+            )
+        print(f"/timeseries: {len(series)} metrics, "
+              f"trials_done={series.get('runtime.trials_done', {}).get('last')}")
     if "alerts" in results:
         alerts = json.loads(results["alerts"])
         if "rules" not in alerts or "firing" not in alerts:
@@ -160,6 +174,8 @@ def main() -> int:
         print(f"/events: {len(frames)} SSE frames ({', '.join(sorted(set(kinds)))})")
         if kinds[0] != "hello":
             failures.append(f"/events: first frame was {kinds[0]!r}, not 'hello'")
+        if "runtime.progress" not in kinds:
+            failures.append(f"/events: no runtime.progress frame in {sorted(set(kinds))}")
     if code != 0:
         sys.stderr.write(drained)
         failures.append(f"run exited {code}, want 0 (clean shutdown)")

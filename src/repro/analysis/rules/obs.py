@@ -162,10 +162,11 @@ class AlertRuleNameConvention(Rule):
     Alert rules (:class:`repro.obs.alerts.AlertRule`) land in ledger
     alarms, trace events and the ``/alerts`` endpoint next to metric
     names; a rule named ``PhaseBudget!`` breaks the same glob filters and
-    family grouping OBS002 protects for metrics.  Rules declared in TOML
-    get the equivalent check at load time (``alerts.load_rules`` warns);
-    this covers the python call sites.  Advice-only: experimental rule
-    names in notebooks/scripts should nag, not gate.
+    family grouping OBS002 protects for metrics.  Rules built with a
+    dynamic name get the equivalent check at construction time
+    (``AlertRule`` warns); this covers the literal names at python call
+    sites.  Advice-only: experimental rule names in notebooks/scripts
+    should nag, not gate.
     """
 
     id = "OBS004"

@@ -94,11 +94,6 @@ def _common_options() -> argparse.ArgumentParser:
              "on 127.0.0.1:PORT while the command runs (0 = ephemeral port)",
     )
     group.add_argument(
-        "--alerts", metavar="FILE", default=None,
-        help="alert-rule TOML overlaying the built-in rules "
-             "(default: runs/alerts.toml when present)",
-    )
-    group.add_argument(
         "--fail-on-alert", action="store_true",
         help="exit 3 when any alert rule fired during the run "
              "(requires --serve-port)",
@@ -294,9 +289,6 @@ def _add_obs_parser(subparsers, common) -> None:
     w.add_argument("--no-reconnect", action="store_true",
                    help="with --events: exit 1 on the first dropped "
                         "connection instead of backing off and retrying")
-    w.add_argument("--max-retries", type=int, default=None, metavar="N",
-                   help="with --events: consecutive failed reconnects "
-                        "tolerated before exit 1 (default 5)")
     w.add_argument("--max-events", type=int, default=None, metavar="N",
                    help="with --events: exit 0 after N frames")
 
@@ -699,9 +691,7 @@ def _run_obs_serve(args) -> int:
     from repro.obs.serve import TelemetryServer
 
     try:
-        server = TelemetryServer(
-            port=args.port, host=args.host, rules_path=args.alerts,
-        ).start()
+        server = TelemetryServer(port=args.port, host=args.host).start()
     except OSError as exc:
         logger.error("cannot start telemetry server: %s", exc)
         return 1
@@ -723,16 +713,12 @@ def _run_obs_serve(args) -> int:
 
 
 def _run_obs_watch(args) -> int:
-    from repro.obs.serve import DEFAULT_STREAM_RETRIES, stream_events, watch
+    from repro.obs.serve import stream_events, watch
 
     if args.events:
         return stream_events(
             args.url,
             reconnect=not args.no_reconnect,
-            max_retries=(
-                DEFAULT_STREAM_RETRIES if args.max_retries is None
-                else args.max_retries
-            ),
             max_events=1 if args.once else args.max_events,
             duration_s=args.duration,
         )
@@ -905,9 +891,7 @@ def _main(argv: Optional[List[str]]) -> int:
         from repro.obs.serve import TelemetryServer
 
         try:
-            server = TelemetryServer(
-                port=args.serve_port, rules_path=args.alerts,
-            ).start()
+            server = TelemetryServer(port=args.serve_port).start()
         except OSError as exc:
             logger.error("cannot start telemetry server: %s", exc)
             return 1

@@ -41,40 +41,7 @@ def zero_forcing_precoder(channel: np.ndarray, max_power_per_antenna: float = 1.
     """
     channel = np.asarray(channel, dtype=complex)
     require(channel.ndim >= 2, "channel must be a matrix (or a stack of them)")
-    n_clients, n_antennas = channel.shape[-2], channel.shape[-1]
-    require(
-        n_antennas >= n_clients,
-        f"need at least as many antennas ({n_antennas}) as clients ({n_clients})",
-    )
-    if n_antennas == n_clients:
-        inverse = np.linalg.inv(channel)
-    else:
-        inverse = np.linalg.pinv(channel)
-        _check_right_inverse(channel, inverse)
-    # per-antenna transmit power for unit-power streams: row norms squared
-    row_power = np.sum(np.abs(inverse) ** 2, axis=-1)
-    worst = np.max(row_power, axis=-1)
-    require(bool(np.all(worst > 0)), "degenerate channel")
-    k = np.sqrt(max_power_per_antenna / worst)
-    if channel.ndim == 2:
-        k = float(k)
-        return k * inverse, k
-    return k[..., None, None] * inverse, k
-
-
-def _check_right_inverse(channel: np.ndarray, inverse: np.ndarray) -> None:
-    """Reject precoders that do not actually diagonalize the channel.
-
-    ``np.linalg.pinv`` "succeeds" on rank-deficient wide matrices (e.g. two
-    collinear clients) but the result is a least-squares fit, not a right
-    inverse — beamforming with it would silently mix the streams.
-    """
-    residual = channel @ inverse - np.eye(channel.shape[-2])
-    if np.max(np.abs(residual)) > 1e-6:
-        raise np.linalg.LinAlgError(
-            "channel matrix is (numerically) rank deficient; streams cannot "
-            "be separated by zero-forcing"
-        )
+    return _zero_forcing(channel, max_power_per_antenna, n_bin_axes=0)
 
 
 def zero_forcing_precoder_wideband(
@@ -104,37 +71,54 @@ def zero_forcing_precoder_wideband(
     """
     channels = np.asarray(channels, dtype=complex)
     require(channels.ndim >= 3, "need (..., n_bins, n_clients, n_antennas)")
+    return _zero_forcing(channels, max_power_per_antenna, n_bin_axes=1)
+
+
+def _zero_forcing(channels: np.ndarray, max_power_per_antenna: float, n_bin_axes: int):
+    """The ZF body both precoders share: stacked right inverses plus k.
+
+    ``channels`` is (..., [n_bins,] n_clients, n_antennas); with
+    ``n_bin_axes=1`` the per-antenna power is averaged over the bin axis
+    before the worst antenna sets k.  Stacked ``inv``/``pinv`` results are
+    bit-identical to one call per matrix (the per-bin reference loop in
+    tests/core/test_beamforming.py pins this).
+    """
     n_clients, n_antennas = channels.shape[-2], channels.shape[-1]
-    require(n_antennas >= n_clients, "need at least as many antennas as clients")
-    if channels.ndim == 3:
-        # Reference path: one matrix inversion per subcarrier, kept loopy so
-        # it stays trivially auditable against §4's per-subcarrier math.
-        n_bins = channels.shape[0]
-        inverses = np.empty((n_bins, n_antennas, n_clients), dtype=complex)
-        for b in range(n_bins):
-            if n_antennas == n_clients:
-                inverses[b] = np.linalg.inv(channels[b])
-            else:
-                inverses[b] = np.linalg.pinv(channels[b])
-                _check_right_inverse(channels[b], inverses[b])
+    require(
+        n_antennas >= n_clients,
+        f"need at least as many antennas ({n_antennas}) as clients ({n_clients})",
+    )
+    if n_antennas == n_clients:
+        inverses = np.linalg.inv(channels)
     else:
-        # Batched path: stacked inv/pinv over all bins of all trials at once.
-        # Stacked np.linalg results are bit-identical to the per-matrix loop
-        # above (pinned by tests/runtime/test_backend_equivalence.py).
-        if n_antennas == n_clients:
-            inverses = np.linalg.inv(channels)
-        else:
-            inverses = np.linalg.pinv(channels)
-            _check_right_inverse(channels, inverses)
-    # per-antenna power averaged over subcarriers, for unit-power streams
-    per_antenna = np.mean(np.sum(np.abs(inverses) ** 2, axis=-1), axis=-2)
+        inverses = np.linalg.pinv(channels)
+        _check_right_inverse(channels, inverses)
+    # per-antenna transmit power for unit-power streams: row norms squared
+    per_antenna = np.sum(np.abs(inverses) ** 2, axis=-1)
+    if n_bin_axes:
+        per_antenna = np.mean(per_antenna, axis=-2)
     worst = np.max(per_antenna, axis=-1)
     require(bool(np.all(worst > 0)), "degenerate channel")
     k = np.sqrt(max_power_per_antenna / worst)
-    if channels.ndim == 3:
+    if k.ndim == 0:
         k = float(k)
         return k * inverses, k
-    return k[..., None, None, None] * inverses, k
+    return k.reshape(k.shape + (1,) * (2 + n_bin_axes)) * inverses, k
+
+
+def _check_right_inverse(channel: np.ndarray, inverse: np.ndarray) -> None:
+    """Reject precoders that do not actually diagonalize the channel.
+
+    ``np.linalg.pinv`` "succeeds" on rank-deficient wide matrices (e.g. two
+    collinear clients) but the result is a least-squares fit, not a right
+    inverse — beamforming with it would silently mix the streams.
+    """
+    residual = channel @ inverse - np.eye(channel.shape[-2])
+    if np.max(np.abs(residual)) > 1e-6:
+        raise np.linalg.LinAlgError(
+            "channel matrix is (numerically) rank deficient; streams cannot "
+            "be separated by zero-forcing"
+        )
 
 
 def diversity_precoder(channel_row: np.ndarray, max_power_per_antenna: float = 1.0) -> np.ndarray:

@@ -34,7 +34,7 @@ from repro.mac.backhaul import EthernetBackhaul
 from repro.mac.queue import DownlinkQueue
 from repro.mac.rate import EffectiveSnrRateSelector
 from repro.mac.scheduler import JointScheduler
-from repro.obs import metrics, timeseries, trace
+from repro.obs import metrics, trace
 from repro.phy.mcs import Mcs
 from repro.sim.fastsim import SyncErrorModel, taps_to_channel_tensor, zf_sinr_db
 from repro.sim.overhead import packet_airtime_s, sounding_airtime_s
@@ -245,10 +245,9 @@ class DownlinkSimulator:
         self._m_failures = metrics.counter("mac.stream_failures")
         self._m_soundings = metrics.counter("mac.soundings")
         self._m_sinr = metrics.histogram("mac.effective_sinr_db")
+        # per-packet sync health: budget alerts read this histogram's ring
+        # and can fire mid-run (see repro.obs.alerts)
         self._m_phase_err = metrics.histogram("mac.phase_error_rad")
-        # live twin: per-packet sync health streams into the time-series
-        # store so budget alerts can fire mid-run (see repro.obs.alerts)
-        self._ts_phase_err = timeseries.series("mac.phase_error_rad")
         self._m_airtime = {
             kind: metrics.counter(f"mac.airtime.{kind}_s")
             for kind in ("data", "sounding", "contention", "idle")
@@ -330,7 +329,6 @@ class DownlinkSimulator:
             max_err = float(np.max(np.abs(errors)))
             self._m_sinr.observe(eff)
             self._m_phase_err.observe(max_err)
-            self._ts_phase_err.record(max_err)
             span.record(
                 max_phase_error_rad=max_err,
                 phase_errors_rad=errors,

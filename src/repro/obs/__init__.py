@@ -1,44 +1,30 @@
 """repro.obs — zero-dependency observability for the PHY/MAC/sim stack.
 
-Three pillars (see ``docs/observability.md`` for schemas and a worked
-debugging example):
+Two stores, read by everything else (see ``docs/observability.md``):
 
-* **Metrics** (:mod:`repro.obs.metrics`): process-global registry of
-  counters, gauges and reservoir histograms; renders to dict/JSON.
-* **Tracing** (:mod:`repro.obs.tracer`): ``with trace.span("joint_tx"):``
-  context managers and a ``@traced`` decorator emitting timestamped JSONL
-  records with nesting and wall/CPU timings.  Disabled by default with a
-  shared no-op span, so instrumentation is ~free until a trace sink is
-  configured.
-* **Logging** (:mod:`repro.obs.logging`): one stderr handler for the
-  ``repro`` logger hierarchy, keeping stdout clean for result tables.
+* **Metrics registry** (:mod:`repro.obs.metrics`): counters, gauges and
+  histograms.  A histogram keeps exact count/sum/min/max plus a
+  timestamped ring of its most recent 4,096 samples
+  (:class:`repro.obs.timeseries.Series`), so one store answers both the
+  exit snapshot (``--metrics``, ``/metrics``) and windowed questions
+  (``/timeseries``, the alert rules in :mod:`repro.obs.alerts`).
+* **Event ring** (:mod:`repro.obs.flightrec`): every run-level event —
+  chunk, progress tick, watchdog stall, alert transition — enters through
+  one call, :func:`emit`, which keeps it in the always-on flight
+  recorder (dumped into crash bundles, :mod:`repro.obs.blackbox`),
+  writes it to the JSONL trace when a sink is open and hands it to the
+  ``/events`` SSE subscribers when any exist.
 
-Built on those, the v2 layer adds a **run ledger**
-(:mod:`repro.obs.ledger` + :mod:`repro.obs.provenance`: append-only JSONL
-history of every run with git sha, config hash, seed and headline metrics),
-**live sweep progress** (:mod:`repro.obs.progress`), **metric export**
-(:mod:`repro.obs.export`: OpenMetrics text and tidy CSV) and **regression
-detection** (:mod:`repro.obs.regress`: headline-metric probes compared
-against a committed baseline, plus the phase-sync health monitor).
-
-The v3 layer crosses the process boundary: pool workers write per-process
-trace *shards* reassembled into one tree (:mod:`repro.obs.shards`), and the
-attribution profiler (:mod:`repro.obs.profile`, ``repro obs profile``)
-decomposes sweep wall time into compute / dispatch / serialization / idle
-per worker from the engine's ``runtime.chunk`` dispatch envelopes.
-
-The v4 layer makes the run *watchable while it executes*: a bounded
-ring-buffer time-series store (:mod:`repro.obs.timeseries`) that the
-engine, progress tracker and sync-error models publish into
-incrementally; a declarative alert-rule engine
-(:mod:`repro.obs.alerts`) enforcing the §7.3 phase-error budgets and
-worker-utilization floors live, with hysteresis and for-duration
-debouncing; and a stdlib HTTP endpoint (:mod:`repro.obs.serve`,
-``repro obs serve`` / ``--serve-port``) exposing ``/metrics``
-(OpenMetrics), ``/timeseries`` + ``/alerts`` (JSON) and ``/events``
-(SSE).  ``repro.obs.serve`` is deliberately *not* imported here: runs
-without a server never pay for the HTTP layer, and producers publish to
-its event bus only when it is already loaded.
+Around them: the span **tracer** (:mod:`repro.obs.tracer`, free until a
+sink is configured; per-worker shards merged by :mod:`repro.obs.shards`),
+**logging** to stderr (:mod:`repro.obs.logging`), the **run ledger**
+(:mod:`repro.obs.ledger` + :mod:`repro.obs.provenance`), sweep
+**progress** (:mod:`repro.obs.progress`), **export** to OpenMetrics/CSV
+(:mod:`repro.obs.export`), **regression** checks and the §7.3 sync-health
+monitor (:mod:`repro.obs.regress`), the attribution **profiler**
+(:mod:`repro.obs.profile`) and the live HTTP endpoint
+(:mod:`repro.obs.serve`, deliberately not imported here so runs without
+a server never load the HTTP layer).
 
 Typical CLI wiring::
 
@@ -51,7 +37,7 @@ Typical CLI wiring::
     metrics.write_json("metrics.json")
 """
 
-from repro.obs import metrics, shards, timeseries
+from repro.obs import metrics, shards
 from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.blackbox import (
     list_bundles,
@@ -61,14 +47,13 @@ from repro.obs.blackbox import (
     write_crash_bundle,
 )
 from repro.obs.events import SCHEMA_VERSION, format_sse, iter_events, read_events
-from repro.obs.flightrec import FlightRecorder, get_recorder
+from repro.obs.flightrec import FlightRecorder, emit, get_recorder
 from repro.obs.ledger import Ledger, RunRecord, default_runs_dir, new_run_id
 from repro.obs.logging import get_logger, setup_logging
 from repro.obs.metrics import MetricsRegistry, Timer, get_registry
 from repro.obs.progress import SweepProgress
 from repro.obs.shards import merge_shards
 from repro.obs.summary import TraceSummary, format_table, summarize
-from repro.obs.timeseries import TimeSeriesStore, get_store
 from repro.obs.tracer import NULL_SPAN, Span, Tracer, trace, traced
 
 __all__ = [
@@ -82,17 +67,16 @@ __all__ = [
     "RunRecord",
     "Span",
     "SweepProgress",
-    "TimeSeriesStore",
     "Timer",
     "TraceSummary",
     "Tracer",
     "default_runs_dir",
+    "emit",
     "format_sse",
     "format_table",
     "get_logger",
     "get_recorder",
     "get_registry",
-    "get_store",
     "iter_events",
     "list_bundles",
     "load_bundle",
@@ -105,7 +89,6 @@ __all__ = [
     "shards",
     "signal_guard",
     "summarize",
-    "timeseries",
     "trace",
     "traced",
     "write_crash_bundle",

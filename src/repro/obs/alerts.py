@@ -1,4 +1,4 @@
-"""Declarative alert rules evaluated live over the time-series store.
+"""Declarative alert rules evaluated live over the metrics registry.
 
 JMB's operating point degrades *quietly*: §7.3 shows joint-beamforming
 gains collapse once the lead/slave phase error leaves a narrow budget, and
@@ -6,9 +6,11 @@ a sweep whose worker pool half-stalls still finishes — just late.  Both
 failure modes are invisible in an exit snapshot and obvious in a live
 window.  This module turns windows into verdicts.
 
-An :class:`AlertRule` names a series in the
-:class:`~repro.obs.timeseries.TimeSeriesStore`, a windowed statistic, a
-comparison and a threshold.  Three rule kinds share that shape:
+An :class:`AlertRule` names a metric in the
+:class:`~repro.obs.metrics.MetricsRegistry`, a statistic, a comparison
+and a threshold.  A histogram gives the statistic over its samples of
+the last ``window_s`` seconds (its timestamped ring); a counter or gauge
+gives its current value.  Two rule kinds share that shape:
 
 * ``threshold`` — plain comparison of the statistic against the bound.
 * ``budget`` — identical mechanics, but the bound is a *paper budget*
@@ -16,9 +18,6 @@ comparison and a threshold.  Three rule kinds share that shape:
   ``PHASE_ERROR_BUDGET_{MEDIAN,P95}_RAD`` from :mod:`repro.core.phasesync`);
   kept distinct so ledger alarms and dashboards can tell "tuning knob"
   from "reproduction-invalidating breach".
-* ``rate_of_change`` — per-second slope of the series over the window,
-  compared against the bound (catches runaway drift before the level
-  rule trips).
 
 Two anti-flap mechanisms, both opt-in per rule:
 
@@ -30,33 +29,26 @@ Two anti-flap mechanisms, both opt-in per rule:
   value oscillating around the bound does not strobe.
 
 :class:`AlertEngine` owns the rule set and the ok/pending/firing state
-machine; every transition becomes an ``obs.alert`` trace event, a logger
-line, and a dict handed to the SSE bus by :mod:`repro.obs.serve`.  Rules
-load from TOML (``runs/alerts.toml`` by default) layered over
-:func:`builtin_rules`; TOML parsing needs :mod:`tomllib` (Python 3.11+)
-and degrades to the built-ins with a warning on 3.10.
+machine; every transition becomes one ``obs.alert`` event (flight
+recorder, trace and SSE, see :func:`repro.obs.flightrec.emit`) and a
+logger line.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import re
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.flightrec import record as flightrec_record
+from repro.obs.flightrec import emit
 from repro.obs.logging import get_logger
-from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.tracer import trace
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 logger = get_logger("obs.alerts")
 
-#: Default rules file, relative to the working directory (ledger-adjacent).
-DEFAULT_RULES_PATH = os.path.join("runs", "alerts.toml")
-
 #: Recognised rule kinds / statistics / comparison directions.
-KINDS = ("threshold", "budget", "rate_of_change")
+KINDS = ("threshold", "budget")
 STATS = ("last", "mean", "min", "max", "p50", "p95")
 OPS = ("above", "below")
 
@@ -68,22 +60,23 @@ RULE_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 
 @dataclasses.dataclass(frozen=True)
 class AlertRule:
-    """One declarative rule over a named series.
+    """One declarative rule over a named metric.
 
     Args:
         name: Rule identity (``domain.metric`` convention, see OBS004).
-        series: Time-series name the rule watches.
-        threshold: Bound the windowed statistic is compared against.
-        kind: ``threshold`` | ``budget`` | ``rate_of_change``.
-        stat: Windowed statistic (ignored for ``rate_of_change``).
+        series: Name of the metric the rule watches.
+        threshold: Bound the statistic is compared against.
+        kind: ``threshold`` | ``budget``.
+        stat: Windowed statistic of a histogram (a counter or gauge
+            always gives its current value).
         op: ``above`` fires when value > threshold, ``below`` when <.
         clear: Hysteresis level the value must re-cross to clear a firing
             rule; defaults to ``threshold`` (no hysteresis).
         for_s: Seconds a breach must persist before ``pending`` becomes
             ``firing`` (0 = fire immediately).
-        window_s: Lookback window the statistic is computed over.
-        min_count: Points required in the window before the rule judges
-            at all (insufficient data reads as ``ok``).
+        window_s: Lookback window a histogram's statistic covers.
+        min_count: Histogram samples required in the window before the
+            rule judges at all (insufficient data reads as ``ok``).
         severity: ``warning`` or ``critical`` (advisory; ledger-visible).
         description: Human explanation shown by ``/alerts`` and ``watch``.
     """
@@ -159,7 +152,7 @@ class AlertState:
 
 
 class AlertEngine:
-    """Evaluates a rule set against a store; owns per-rule state machines."""
+    """Evaluates a rule set against a registry; owns per-rule state machines."""
 
     def __init__(self, rules: Sequence[AlertRule]):
         self._states: Dict[str, AlertState] = {
@@ -175,23 +168,17 @@ class AlertEngine:
 
     # -- evaluation ------------------------------------------------------------
 
+    @staticmethod
     def _rule_value(
-        self, rule: AlertRule, store: TimeSeriesStore, now: float
+        rule: AlertRule, registry: MetricsRegistry, now: float
     ) -> Optional[float]:
-        """Windowed statistic for one rule; None = not enough data."""
-        series = store.get(rule.series)
-        if series is None:
+        """The rule's statistic; None = not enough data."""
+        metric = registry.get(rule.series)
+        if metric is None:
             return None
-        since = now - rule.window_s
-        if rule.kind == "rate_of_change":
-            pts = series.points(since=since)
-            if len(pts) < max(rule.min_count, 2):
-                return None
-            (t0, v0), (t1, v1) = pts[0], pts[-1]
-            if t1 <= t0:
-                return None
-            return (v1 - v0) / (t1 - t0)
-        roll = series.rollup(since=since)
+        if not isinstance(metric, Histogram):
+            return metric.value
+        roll = metric.rollup(since=now - rule.window_s)
         if roll["count"] < rule.min_count:
             return None
         return float(roll[rule.stat])
@@ -206,7 +193,7 @@ class AlertEngine:
         return value <= level if rule.op == "above" else value >= level
 
     def evaluate(
-        self, store: TimeSeriesStore, now: Optional[float] = None
+        self, registry: MetricsRegistry, now: Optional[float] = None
     ) -> List[dict]:
         """One evaluation pass; returns the list of state *transitions*.
 
@@ -220,7 +207,7 @@ class AlertEngine:
         transitions: List[dict] = []
         for state in self._states.values():
             rule = state.rule
-            value = self._rule_value(rule, store, now)
+            value = self._rule_value(rule, registry, now)
             state.value = value
             if value is None:
                 continue  # insufficient data: hold current status
@@ -266,13 +253,11 @@ class AlertEngine:
                 "description": rule.description,
             }
             transitions.append(transition)
-            flightrec_record("obs.alert", transition, ts=now)
-            trace.event("obs.alert", **transition)
+            emit("obs.alert", transition, ts=now)
             log = logger.warning if new_status == "firing" else logger.info
             log(
                 "alert %s: %s -> %s (%s %s=%0.6g vs threshold %0.6g)",
-                rule.name, previous, new_status, rule.series,
-                "rate" if rule.kind == "rate_of_change" else rule.stat,
+                rule.name, previous, new_status, rule.series, rule.stat,
                 value, rule.threshold,
             )
         return transitions
@@ -309,7 +294,7 @@ class AlertEngine:
 
 
 # ---------------------------------------------------------------------------
-# Rule sources: built-ins + TOML overlay
+# Built-in rules
 # ---------------------------------------------------------------------------
 
 
@@ -360,13 +345,8 @@ def builtin_rules() -> Tuple[AlertRule, ...]:
         ))
     rules.append(AlertRule(
         name="runtime.watchdog_stall",
-        series="runtime.watchdog_stalls",
-        kind="threshold",
-        stat="last",
-        op="above",
+        series="runtime.watchdog_stalls",  # a counter: its current value
         threshold=0.0,
-        window_s=3600.0,
-        min_count=1,
         severity="critical",
         description=(
             "the worker watchdog declared a stalled chunk — a hung "
@@ -392,58 +372,3 @@ def builtin_rules() -> Tuple[AlertRule, ...]:
         ),
     ))
     return tuple(rules)
-
-
-def _rule_from_toml(entry: dict) -> AlertRule:
-    known = {f.name for f in dataclasses.fields(AlertRule)}
-    unknown = set(entry) - known - {"enabled"}
-    if unknown:
-        raise ValueError(
-            f"unknown alert-rule keys {sorted(unknown)} "
-            f"(known: {sorted(known)})"
-        )
-    kwargs = {k: v for k, v in entry.items() if k in known}
-    for key in ("name", "series"):
-        if key not in kwargs:
-            raise ValueError(f"alert rule missing required key {key!r}: {entry}")
-    if "threshold" not in kwargs:
-        raise ValueError(f"alert rule {kwargs['name']!r} missing 'threshold'")
-    return AlertRule(**kwargs)
-
-
-def load_rules(path: Optional[str] = None) -> Tuple[AlertRule, ...]:
-    """Built-in rules overlaid with ``[[rule]]`` tables from a TOML file.
-
-    TOML rules replace same-named built-ins; ``enabled = false`` drops a
-    built-in without replacement.  A missing file (or a missing
-    :mod:`tomllib`, i.e. Python < 3.11) yields the built-ins — with a
-    warning in the latter case, since the user asked for a file we
-    cannot parse.
-    """
-    rules = {r.name: r for r in builtin_rules()}
-    explicit = path is not None
-    if path is None:
-        path = DEFAULT_RULES_PATH
-    if not os.path.exists(path):
-        if explicit:
-            raise FileNotFoundError(f"alert rules file not found: {path}")
-        return tuple(rules.values())
-    try:
-        import tomllib
-    except ImportError:  # Python 3.10: stdlib TOML parser is absent
-        logger.warning(
-            "cannot parse %s: tomllib requires Python >= 3.11; "
-            "using built-in alert rules only", path,
-        )
-        return tuple(rules.values())
-    with open(path, "rb") as f:
-        doc = tomllib.load(f)
-    for entry in doc.get("rule", []):
-        name = entry.get("name")
-        if not name:
-            raise ValueError(f"alert rule missing required key 'name': {entry}")
-        if entry.get("enabled", True) is False:
-            rules.pop(name, None)
-            continue
-        rules[name] = _rule_from_toml(entry)
-    return tuple(rules.values())

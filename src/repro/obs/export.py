@@ -80,7 +80,7 @@ def metrics_to_openmetrics(source: Union[MetricsRegistry, Dict[str, dict]]) -> s
             lines.append(f"# TYPE {om} gauge")
             lines.append(f"{om} {data['value']:.10g}")
         elif kind == "histogram":
-            lines.append(f"# HELP {om} repro histogram {name} (reservoir summary)")
+            lines.append(f"# HELP {om} repro histogram {name} (summary of its sample ring)")
             lines.append(f"# TYPE {om} summary")
             count = data.get("count", 0)
             for key, q in _QUANTILES:

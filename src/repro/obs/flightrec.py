@@ -1,72 +1,55 @@
-"""Black-box flight recorder: a bounded in-memory ring of recent telemetry.
+"""The event ring: one call that feeds the flight recorder, the trace and SSE.
 
-Traces answer "what happened" only when a sink was configured *before*
-the run; the time-series store keeps numeric history but drops the
-qualitative frames (which chunk, which alert, which progress tick)
-around it.  Neither helps when a sweep crashes, hangs, or is killed —
-the moments where the recent past matters most and nothing was asked to
-keep it.
+Numbers live in the metrics registry (:mod:`repro.obs.metrics`); *events*
+— a finished chunk, a progress tick, a watchdog stall, an alert
+transition — live here.  :meth:`FlightRecorder.record` (module-level
+:func:`emit`) is the only way in, and that one call
 
-The :class:`FlightRecorder` is the always-on answer: a process-global,
-bounded ``deque`` of ``{"ts", "kind", "data"}`` records that the
-existing publication points feed for free —
-
-* span opens/closes and events (:mod:`repro.obs.tracer`, only while a
-  trace sink is live),
-* progress ticks (:class:`repro.obs.progress.SweepProgress`),
-* store-level metric samples (:meth:`repro.obs.timeseries.TimeSeriesStore
-  .record`; the hot-path ``Series.record`` handle calls used by fastsim
-  are deliberately *not* tapped),
-* alert transitions (:class:`repro.obs.alerts.AlertEngine`),
-* engine chunk envelopes and watchdog events
-  (:mod:`repro.runtime.engine` / :mod:`repro.runtime.watchdog`),
-* SSE bus frames (:class:`repro.obs.serve.EventBus`).
+* appends ``{"ts", "kind", "data"}`` to a bounded, always-on ring (the
+  black-box flight recorder that crash bundles dump to
+  ``runs/crash-<runid>/flightrec.json``, see :mod:`repro.obs.blackbox`);
+* writes the same event as a JSONL ``event`` record while a trace sink
+  is open (:mod:`repro.obs.tracer`);
+* hands ``(kind, data)`` to the SSE subscribers of ``/events``
+  (:mod:`repro.obs.serve`) when any exist.
 
 Appends are a lock + ``deque.append`` — the same "negligible until you
-need it" bar the null tracer holds (<5% on a recorder-enabled sweep,
-enforced by ``tests/obs/test_flightrec.py``).  The ring is snapshot-able
-at any moment; crash-forensics bundles (:mod:`repro.obs.blackbox`) dump
-it to ``runs/crash-<runid>/flightrec.json``.
-
-``REPRO_FLIGHTREC=0`` disables recording entirely;
-``REPRO_FLIGHTREC_CAPACITY`` resizes the ring (default
-:data:`DEFAULT_CAPACITY` records).
+need it" bar the null tracer holds (<5% overhead, enforced by
+``tests/obs/test_flightrec.py``).  ``REPRO_FLIGHTREC=0`` switches the
+ring off; the trace and SSE still get their events.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
+import queue
 import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+
+from repro.obs.metrics import counter
+from repro.obs.tracer import Tracer, trace
 
 #: Records retained in the ring (oldest evicted first).
 DEFAULT_CAPACITY = 4096
 
-#: Environment variable: "0" disables the recorder entirely.
+#: Environment variable: "0" disables the ring.
 ENABLE_ENV = "REPRO_FLIGHTREC"
-
-#: Environment variable overriding the ring capacity.
-CAPACITY_ENV = "REPRO_FLIGHTREC_CAPACITY"
 
 #: Version stamped into dumps; bump on breaking record-shape changes.
 DUMP_SCHEMA = 1
 
-logger = logging.getLogger("repro.obs.flightrec")
+#: Frames one SSE subscriber may fall behind before its frames are dropped.
+SUBSCRIBER_QUEUE_SIZE = 256
 
+#: Counter of frames dropped because a subscriber queue was full, so a
+#: slow SSE client is *visible* on ``/metrics`` and ``/timeseries``.
+EVENTS_DROPPED = "obs.events.dropped"
 
-def _env_capacity() -> int:
-    raw = os.environ.get(CAPACITY_ENV, "").strip()
-    if raw:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            logger.debug("ignoring malformed %s=%r", CAPACITY_ENV, raw)
-    return DEFAULT_CAPACITY
+Frame = Tuple[str, dict]
 
 
 def _env_enabled() -> bool:
@@ -74,28 +57,33 @@ def _env_enabled() -> bool:
 
 
 class FlightRecorder:
-    """Bounded ring buffer of recent ``(ts, kind, data)`` telemetry records.
+    """Bounded ring of recent ``(ts, kind, data)`` events, plus their fan-out.
 
-    Thread-safe: producers append from the engine, watchdog, evaluator
-    and HTTP threads concurrently.  ``total`` counts every record ever
-    accepted, so consumers can tell how much history the ring evicted
-    (``dropped = total - len(ring)``).
+    Thread-safe: producers record from the engine, watchdog, evaluator
+    and HTTP threads concurrently.  ``total`` counts every record the ring
+    ever accepted (``dropped = total - len(ring)``).  ``tracer`` is the
+    trace each event is also written to (the global recorder uses the
+    global tracer).
     """
 
-    __slots__ = ("capacity", "enabled", "total", "_ring", "_lock")
+    __slots__ = ("capacity", "enabled", "tracer", "total", "_ring", "_lock",
+                 "_subscribers")
 
     def __init__(
         self,
-        capacity: Optional[int] = None,
+        capacity: int = DEFAULT_CAPACITY,
         enabled: Optional[bool] = None,
+        tracer: Optional[Tracer] = None,
     ):
-        self.capacity = capacity if capacity is not None else _env_capacity()
-        if self.capacity < 1:
+        if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
+        self.capacity = int(capacity)
         self.enabled = enabled if enabled is not None else _env_enabled()
+        self.tracer = tracer
         self.total = 0
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
+        self._subscribers: List["queue.Queue[Frame]"] = []
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -108,18 +96,51 @@ class FlightRecorder:
         data: Optional[dict] = None,
         ts: Optional[float] = None,
     ) -> None:
-        """Append one record; a no-op while disabled."""
-        if not self.enabled:
-            return
-        rec: Dict[str, Any] = {
-            "ts": time.time() if ts is None else ts,
-            "kind": kind,
-        }
-        if data:
-            rec["data"] = data
+        """Publish one event to the ring, the open trace and SSE subscribers."""
+        if ts is None:
+            ts = time.time()
+        if self.enabled:
+            rec: Dict[str, Any] = {"ts": ts, "kind": kind}
+            if data:
+                rec["data"] = data
+            with self._lock:
+                self._ring.append(rec)
+                self.total += 1
+        if self.tracer is not None:
+            self.tracer.write_event(kind, data, ts=ts)
+        if self._subscribers:
+            self._publish(kind, data or {})
+
+    def _publish(self, kind: str, data: dict) -> None:
         with self._lock:
-            self._ring.append(rec)
-            self.total += 1
+            subscribers = list(self._subscribers)
+        dropped = 0
+        for q in subscribers:
+            try:
+                q.put_nowait((kind, dict(data)))
+            except queue.Full:
+                dropped += 1
+        if dropped:
+            counter(EVENTS_DROPPED).inc(dropped)
+
+    # -- SSE subscriptions -----------------------------------------------------
+
+    def subscribe(self, maxsize: int = SUBSCRIBER_QUEUE_SIZE) -> "queue.Queue[Frame]":
+        """A bounded queue receiving every later event as ``(kind, data)``.
+
+        A full queue drops the frame for that subscriber (a slow SSE
+        client must not stall the sweep) and counts it on the
+        :data:`EVENTS_DROPPED` counter.
+        """
+        q: "queue.Queue[Frame]" = queue.Queue(maxsize=maxsize)
+        with self._lock:
+            self._subscribers.append(q)
+        return q
+
+    def unsubscribe(self, q: "queue.Queue[Frame]") -> None:
+        with self._lock:
+            if q in self._subscribers:
+                self._subscribers.remove(q)
 
     # -- reading ---------------------------------------------------------------
 
@@ -175,8 +196,8 @@ class FlightRecorder:
             self.total = 0
 
 
-#: The process-global recorder every publication point feeds.
-_RECORDER = FlightRecorder()
+#: The process-global recorder every event goes through.
+_RECORDER = FlightRecorder(tracer=trace)
 
 
 def get_recorder() -> FlightRecorder:
@@ -184,6 +205,6 @@ def get_recorder() -> FlightRecorder:
     return _RECORDER
 
 
-def record(kind: str, data: Optional[dict] = None, ts: Optional[float] = None) -> None:
-    """Append one record to the process-global recorder."""
+def emit(kind: str, data: Optional[dict] = None, ts: Optional[float] = None) -> None:
+    """Publish one event through the process-global recorder."""
     _RECORDER.record(kind, data, ts=ts)

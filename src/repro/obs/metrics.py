@@ -1,10 +1,10 @@
-"""Metrics registry: counters, gauges, and reservoir histograms.
+"""Metrics registry: counters, gauges, and histograms.
 
 Hot paths grab a metric handle once (``metrics.counter("mac.arq.retries")``)
 and update it with plain attribute arithmetic — no string lookups, locks or
-allocation per update.  Histograms keep a preallocated numpy reservoir so
-``observe`` is an indexed store; percentiles are computed lazily when the
-registry is rendered.
+allocation per update.  Histograms keep a preallocated timestamped ring
+(:class:`~repro.obs.timeseries.Series`) so ``observe`` is an indexed store;
+percentiles and windowed rollups are computed lazily when read.
 
 The module keeps one process-global :class:`MetricsRegistry` (the default
 target of the module-level helpers) because the simulators and the PHY stack
@@ -18,15 +18,14 @@ Everything renders to plain dicts (:meth:`MetricsRegistry.to_dict`) and JSON
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import time
-import zlib
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-#: Default reservoir capacity of a histogram (samples kept for percentiles).
-DEFAULT_RESERVOIR = 4096
+from repro.obs.timeseries import DEFAULT_CAPACITY, Series
 
 
 class Counter:
@@ -68,33 +67,27 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming distribution with a preallocated reservoir.
+    """Streaming distribution: exact running stats plus a timestamped ring.
 
-    The first ``capacity`` observations are stored verbatim; past that,
-    classic reservoir sampling keeps a uniform sample of everything seen.
-    Exact count / mean / min / max are tracked in running form regardless of
-    reservoir state, so only the percentiles are (slightly) approximate on
-    overflow.  The replacement RNG is seeded from the metric name, keeping
-    runs reproducible.
+    Count / mean / min / max are exact over every observation.  The values
+    themselves go into a :class:`~repro.obs.timeseries.Series` ring of the
+    most recent ``capacity`` points, so percentiles cover the whole run
+    until it holds more than ``capacity`` samples and the most recent
+    ``capacity`` after that, and the same ring answers windowed questions
+    (:meth:`rollup`) for ``/timeseries`` and the alert rules.
     """
 
-    __slots__ = ("name", "capacity", "_values", "_stored", "count",
-                 "_sum", "_min", "_max", "_rng")
+    __slots__ = ("name", "series", "count", "_sum", "_min", "_max")
 
-    def __init__(self, name: str, capacity: int = DEFAULT_RESERVOIR):
-        if capacity < 1:
-            raise ValueError("histogram capacity must be >= 1")
+    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY):
         self.name = name
-        self.capacity = int(capacity)
-        self._values = np.empty(self.capacity, dtype=float)
-        self._stored = 0
+        self.series = Series(name, capacity)
         self.count = 0
         self._sum = 0.0
         self._min = np.inf
         self._max = -np.inf
-        self._rng = np.random.default_rng(zlib.crc32(name.encode()))
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, ts: Optional[float] = None) -> None:
         value = float(value)
         self.count += 1
         self._sum += value
@@ -102,14 +95,7 @@ class Histogram:
             self._min = value
         if value > self._max:
             self._max = value
-        if self._stored < self.capacity:
-            self._values[self._stored] = value
-            self._stored += 1
-        else:
-            # reservoir sampling: keep each seen value with prob cap/count
-            j = int(self._rng.integers(0, self.count))
-            if j < self.capacity:
-                self._values[j] = value
+        self.series.record(value, ts)
 
     @property
     def mean(self) -> float:
@@ -124,14 +110,19 @@ class Histogram:
         return self._max if self.count else float("nan")
 
     def percentile(self, q: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Percentile(s) of the reservoir sample (q in 0..100)."""
-        if self._stored == 0:
+        """Percentile(s) of the retained samples (q in 0..100)."""
+        values = self.series.values()
+        if values.size == 0:
             return float("nan") if np.isscalar(q) else np.full(np.shape(q), np.nan)
-        out = np.percentile(self._values[: self._stored], q)
+        out = np.percentile(values, q)
         return float(out) if np.isscalar(q) else out
 
+    def rollup(self, since: Optional[float] = None) -> dict:
+        """Statistics of the samples observed at/after ``since`` (wall clock)."""
+        return self.series.rollup(since)
+
     def reset(self) -> None:
-        self._stored = 0
+        self.series.reset()
         self.count = 0
         self._sum = 0.0
         self._min = np.inf
@@ -223,7 +214,7 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(self, name: str, capacity: int = DEFAULT_RESERVOIR) -> Histogram:
+    def histogram(self, name: str, capacity: int = DEFAULT_CAPACITY) -> Histogram:
         return self._get(name, Histogram, capacity)
 
     def timer(self, name: Optional[str] = None) -> Timer:
@@ -243,6 +234,36 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict:
         return {name: self._metrics[name].to_dict() for name in self.names()}
+
+    def rollups(
+        self,
+        since: Optional[float] = None,
+        names: Union[str, Sequence[str], None] = None,
+    ) -> dict:
+        """Live view: a windowed rollup per histogram, the value of the rest.
+
+        Histograms render :meth:`Histogram.rollup` over the samples at/after
+        ``since`` plus ``total`` (every observation ever made); counters and
+        set gauges render ``{"type", "last"}``.  ``names`` is a glob (or a
+        list of globs) selecting metrics.
+        """
+        if isinstance(names, str):
+            names = [names]
+        out: Dict[str, dict] = {}
+        for name in self.names():
+            if names and not any(fnmatch.fnmatch(name, p) for p in names):
+                continue
+            metric = self._metrics[name]
+            if isinstance(metric, Histogram):
+                entry = {"type": "histogram", **metric.rollup(since),
+                         "total": metric.count}
+            elif metric.value is None:
+                continue  # a gauge that was never set
+            else:
+                kind = "counter" if isinstance(metric, Counter) else "gauge"
+                entry = {"type": kind, "last": metric.value}
+            out[name] = entry
+        return out
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -269,7 +290,7 @@ def gauge(name: str) -> Gauge:
     return _REGISTRY.gauge(name)
 
 
-def histogram(name: str, capacity: int = DEFAULT_RESERVOIR) -> Histogram:
+def histogram(name: str, capacity: int = DEFAULT_CAPACITY) -> Histogram:
     return _REGISTRY.histogram(name, capacity)
 
 

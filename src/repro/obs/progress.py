@@ -6,8 +6,9 @@ with chunk-granular completions; the tracker renders
 
     fig9 [####------] 67/135 chunks  268/540 trials  41.2 trials/s  eta 7s  workers 4  retries 1
 
-to stderr and mirrors every rendered update as a ``runtime.progress``
-trace event, so live state and post-hoc analysis see the same numbers.
+to stderr and publishes every rendered update as one ``runtime.progress``
+event (flight recorder, trace and SSE, see :func:`repro.obs.flightrec.emit`),
+so live state and post-hoc analysis see the same numbers.
 
 Rendering adapts to the sink:
 
@@ -16,8 +17,8 @@ Rendering adapts to the sink:
 * **non-TTY stderr** (CI logs, piped output) — plain progress lines,
   throttled to one per ``noninteractive_interval_s`` plus start/finish,
   so logs stay readable but long sweeps are never silent.
-* ``REPRO_PROGRESS=0`` disables rendering entirely (trace events are
-  still emitted); ``REPRO_PROGRESS=1`` forces the TTY-style line.
+* ``REPRO_PROGRESS=0`` disables rendering entirely (events are still
+  emitted); ``REPRO_PROGRESS=1`` forces the TTY-style line.
 
 The tracker is parent-process-only state — workers never touch it — so it
 cannot perturb the engine's bit-identical scheduling guarantees.
@@ -31,9 +32,8 @@ import sys
 import time
 from typing import Optional, TextIO
 
-from repro.obs import metrics, timeseries
-from repro.obs.flightrec import record as flightrec_record
-from repro.obs.tracer import trace
+from repro.obs import metrics
+from repro.obs.flightrec import emit
 
 #: Environment variable: "0" disables the status line, "1" forces TTY mode.
 PROGRESS_ENV = "REPRO_PROGRESS"
@@ -113,6 +113,9 @@ class SweepProgress:
         self._line_open = False
         self._closed = False
         self._m_trials = metrics.counter("runtime.trials_done")
+        self._m_rate = metrics.gauge("runtime.trials_per_s")
+        self._m_busy = metrics.gauge("runtime.workers_busy")
+        self._m_utilization = metrics.histogram("runtime.worker_utilization")
         if self.total_chunks > 0:
             self._emit(force=True)  # announce the sweep immediately
 
@@ -191,30 +194,6 @@ class SweepProgress:
             return 0.0
         return self.workers_busy / self.workers
 
-    # -- live publication ------------------------------------------------------
-
-    def _publish(self, payload: dict) -> None:
-        """Mirror one rendered update into the live telemetry layer.
-
-        Every rendered tick lands in the process-global time-series store
-        (so ``/timeseries`` and the alert rules see sweep health), and —
-        only when the serve layer is already loaded, i.e. a run with
-        ``--serve-port`` — onto the SSE event bus.  A run without a
-        server never imports ``repro.obs.serve``.
-        """
-        ts = time.time()
-        # The last progress tick in the flight-recorder ring becomes the
-        # crash bundle's progress.json — how far the sweep got.
-        flightrec_record("runtime.progress", payload, ts=ts)
-        store = timeseries.get_store()
-        store.record("runtime.done_trials", self.done_trials, ts=ts)
-        store.record("runtime.trials_per_s", self.trials_per_s, ts=ts)
-        store.record("runtime.workers_busy", self.workers_busy, ts=ts)
-        store.record("runtime.worker_utilization", self.worker_utilization, ts=ts)
-        serve = sys.modules.get("repro.obs.serve")
-        if serve is not None:
-            serve.publish_event("progress", payload)
-
     # -- rendering -------------------------------------------------------------
 
     def _emit(self, force: bool = False, final: bool = False) -> None:
@@ -237,8 +216,12 @@ class SweepProgress:
             retries=self.retries,
             final=final,
         )
-        trace.event("runtime.progress", **payload)
-        self._publish(payload)
+        self._m_rate.set(self.trials_per_s)
+        self._m_busy.set(self.workers_busy)
+        self._m_utilization.observe(self.worker_utilization)
+        # the last tick on the flight recorder becomes a crash bundle's
+        # progress.json: how far the sweep got
+        emit("runtime.progress", payload)
         if self.mode == "off":
             return
         line = self._format_line(final=final)

@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.phasesync import PHASE_ERROR_BUDGET_P95_RAD
 from repro.obs import metrics
+from repro.obs.flightrec import emit
 from repro.obs.logging import get_logger
 from repro.obs.tracer import trace
 
@@ -71,8 +72,8 @@ def sync_health_alarms(registry=None, budget_rad: float = PHASE_ERROR_BUDGET_P95
 
     Reads the phase-error histograms accumulated during the run; any with
     enough samples and a p95 beyond ``budget_rad`` yields one alarm dict
-    (suitable for a ledger record's ``alarms`` list).  Also mirrors each
-    alarm as an ``obs.sync_alarm`` trace event.
+    (suitable for a ledger record's ``alarms`` list) and one
+    ``obs.sync_alarm`` event.
     """
     reg = registry if registry is not None else metrics.get_registry()
     alarms = []
@@ -90,7 +91,7 @@ def sync_health_alarms(registry=None, budget_rad: float = PHASE_ERROR_BUDGET_P95
                 "count": int(hist.count),
             }
             alarms.append(alarm)
-            trace.event("obs.sync_alarm", **alarm)
+            emit("obs.sync_alarm", alarm)
             logger.warning(
                 "sync-health alarm: %s p95 %.4f rad exceeds the %.3f rad "
                 "budget (%d samples)",

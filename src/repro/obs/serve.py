@@ -1,39 +1,36 @@
 """Live HTTP telemetry: OpenMetrics scrape, JSON windows, SSE stream, watch.
 
-This is the production-facing surface ROADMAP item 5's long-running
-service mounts: while a sweep or simulation executes, a stdlib-only
-(`http.server` + daemon threads) endpoint exposes
+While a sweep or simulation executes, a stdlib-only (`http.server` +
+daemon threads) endpoint exposes the two telemetry stores:
 
 ========================  ====================================================
 ``/metrics``              Current registry state, OpenMetrics text
                           (``application/openmetrics-text``) — scrapeable by
                           prometheus, rendered by :mod:`repro.obs.export`.
-``/timeseries``           Windowed rollups from the
-                          :class:`~repro.obs.timeseries.TimeSeriesStore`;
-                          query params ``since_s`` (window, seconds back),
-                          ``buckets`` (downsample), ``name`` (glob).
+``/timeseries``           :meth:`MetricsRegistry.rollups`: per histogram a
+                          rollup of its samples in the window, per counter /
+                          gauge its value; query params ``since_s`` (window,
+                          seconds back) and ``name`` (glob).
 ``/alerts``               Rule states + currently-firing list from the
                           :class:`~repro.obs.alerts.AlertEngine`.
-``/events``               Server-Sent-Events stream of ``progress`` frames
-                          (mirroring ``runtime.progress``) and ``alert``
-                          transition frames, with keep-alive comments.
+``/events``               Server-Sent-Events stream of every event the
+                          flight recorder takes (``runtime.progress``,
+                          ``runtime.chunk``, ``obs.alert``, ...), after a
+                          ``hello`` frame, with keep-alive comments.
 ``/``                     JSON index of the above.
 ========================  ====================================================
 
 :class:`TelemetryServer` also owns the *evaluator thread*: every
-``eval_interval_s`` it samples the metrics registry into the store
-(counters/gauges/histogram-percentiles grow histories without touching
-hot paths) and runs the alert engine, publishing transitions to the
-in-process :class:`EventBus` that feeds ``/events``.
+``eval_interval_s`` it runs the alert engine over the registry; the
+engine's transitions reach ``/events`` as ``obs.alert`` events.
 
 The ``watch`` client (``repro obs watch URL``) tails any such endpoint —
 local or remote — as a refreshing terminal status table, and exits
 :data:`EXIT_ALERT` under ``--fail-on-alert`` if any rule fired while
 watching, so shell scripts and CI can gate on live health.
 
-Nothing here imports outside the stdlib + the obs stack; a run without
-``--serve-port`` never imports this module (producers publish to the bus
-only when it is already loaded — see ``SweepProgress``).
+Nothing here imports outside the stdlib + the obs stack, and a run
+without ``--serve-port`` never imports this module.
 """
 
 from __future__ import annotations
@@ -46,16 +43,15 @@ import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs.alerts import AlertEngine, load_rules
+from repro.obs.alerts import AlertEngine, builtin_rules
 from repro.obs.events import format_sse
 from repro.obs.export import metrics_to_openmetrics
-from repro.obs.flightrec import record as flightrec_record
+from repro.obs.flightrec import emit, get_recorder
 from repro.obs.logging import get_logger
-from repro.obs.metrics import MetricsRegistry, counter, get_registry
-from repro.obs.timeseries import TimeSeriesStore, get_store
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 logger = get_logger("obs.serve")
 
@@ -69,70 +65,11 @@ OPENMETRICS_CONTENT_TYPE = (
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
 )
 
-#: Seconds between evaluator passes (registry sample + alert evaluation).
+#: Seconds between evaluator passes (alert evaluation).
 DEFAULT_EVAL_INTERVAL_S = 0.25
 
 #: Seconds an idle SSE connection waits before writing a keep-alive comment.
 SSE_KEEPALIVE_S = 0.5
-
-#: Frames dropped because a subscriber queue was full; exported on
-#: ``/metrics`` and recorded into the time-series store so a slow SSE
-#: client is *visible*, not just tolerated.
-_EVENTS_DROPPED = counter("obs.events.dropped")
-
-
-class EventBus:
-    """Fan-out of ``(kind, payload)`` frames to SSE subscriber queues.
-
-    Publishing never blocks a producer: subscriber queues are bounded and
-    a full queue drops the frame for that subscriber (a slow SSE client
-    must not stall the sweep).  Drops are counted per bus (``dropped``)
-    and process-wide on the ``obs.events.dropped`` metric.
-    """
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = int(maxsize)
-        self._subscribers: List["queue.Queue[Tuple[str, dict]]"] = []
-        self._lock = threading.Lock()
-        self.published = 0
-        self.dropped = 0
-
-    def subscribe(self) -> "queue.Queue[Tuple[str, dict]]":
-        q: "queue.Queue[Tuple[str, dict]]" = queue.Queue(maxsize=self.maxsize)
-        with self._lock:
-            self._subscribers.append(q)
-        return q
-
-    def unsubscribe(self, q: "queue.Queue[Tuple[str, dict]]") -> None:
-        with self._lock:
-            if q in self._subscribers:
-                self._subscribers.remove(q)
-
-    def publish(self, kind: str, payload: dict) -> None:
-        with self._lock:
-            subscribers = list(self._subscribers)
-        self.published += 1
-        flightrec_record("bus." + kind, payload)
-        dropped = 0
-        for q in subscribers:
-            try:
-                q.put_nowait((kind, dict(payload)))
-            except queue.Full:
-                dropped += 1
-        if dropped:
-            self.dropped += dropped
-            _EVENTS_DROPPED.inc(dropped)
-            get_store().record("obs.events.dropped", float(_EVENTS_DROPPED.value))
-
-
-#: The process-global bus producers publish into (when this module is
-#: loaded at all — see :func:`publish_event`).
-BUS = EventBus()
-
-
-def publish_event(kind: str, payload: dict) -> None:
-    """Publish a frame to the global bus (progress, alerts, lifecycle)."""
-    BUS.publish(kind, payload)
 
 
 class _Server(ThreadingHTTPServer):
@@ -190,7 +127,8 @@ class _Handler(BaseHTTPRequestHandler):
             pass  # repro: noqa[OBS005]
 
     def _serve_events(self, tele: "TelemetryServer") -> None:
-        q = tele.bus.subscribe()
+        recorder = get_recorder()
+        q = recorder.subscribe()
         try:
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream; charset=utf-8")
@@ -213,15 +151,14 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.write(format_sse(kind, payload).encode())
                 self.wfile.flush()
         finally:
-            tele.bus.unsubscribe(q)
+            recorder.unsubscribe(q)
 
 
 class TelemetryServer:
     """The live telemetry endpoint + evaluator thread for one process.
 
-    Defaults bind the process-global registry/store/bus, and an alert
-    engine over :func:`repro.obs.alerts.load_rules` (built-ins overlaid
-    with ``runs/alerts.toml`` when present).  ``port=0`` binds an
+    Defaults bind the process-global registry and an alert engine over
+    :func:`repro.obs.alerts.builtin_rules`.  ``port=0`` binds an
     ephemeral port; read :attr:`port`/:attr:`url` after :meth:`start`.
     """
 
@@ -230,20 +167,15 @@ class TelemetryServer:
         port: int = 0,
         host: str = "127.0.0.1",
         registry: Optional[MetricsRegistry] = None,
-        store: Optional[TimeSeriesStore] = None,
         engine: Optional[AlertEngine] = None,
-        rules_path: Optional[str] = None,
-        bus: Optional[EventBus] = None,
         eval_interval_s: float = DEFAULT_EVAL_INTERVAL_S,
     ):
         self.host = host
         self.port = int(port)
         self.registry = registry if registry is not None else get_registry()
-        self.store = store if store is not None else get_store()
         self.engine = engine if engine is not None else AlertEngine(
-            load_rules(rules_path)
+            builtin_rules()
         )
-        self.bus = bus if bus is not None else BUS
         self.eval_interval_s = float(eval_interval_s)
         self.stopping = threading.Event()
         self._httpd: Optional[_Server] = None
@@ -277,8 +209,7 @@ class TelemetryServer:
         serve_thread.start()
         eval_thread.start()
         logger.info("serving live telemetry on %s", self.url)
-        self.bus.publish("serve", {"ts": time.time(), "url": self.url,
-                                   "status": "started"})
+        emit("obs.serve", {"url": self.url, "status": "started"})
         return self
 
     def stop(self) -> None:
@@ -286,8 +217,7 @@ class TelemetryServer:
         if self._httpd is None:
             return
         self.evaluate_once()  # judge end-of-run state before going dark
-        self.bus.publish("serve", {"ts": time.time(), "url": self.url,
-                                   "status": "stopping"})
+        emit("obs.serve", {"url": self.url, "status": "stopping"})
         self.stopping.set()
         httpd, self._httpd = self._httpd, None
         httpd.shutdown()
@@ -304,17 +234,12 @@ class TelemetryServer:
             self.evaluate_once()
 
     def evaluate_once(self) -> List[dict]:
-        """Sample the registry into the store, run the alert rules once."""
-        now = time.time()
+        """Run the alert rules once over the registry."""
         try:
-            self.store.sample_registry(self.registry, ts=now)
-            transitions = self.engine.evaluate(self.store, now=now)
+            return self.engine.evaluate(self.registry)
         except Exception:
             logger.exception("telemetry evaluation pass failed")
             return []
-        for t in transitions:
-            self.bus.publish("alert", t)
-        return transitions
 
     # -- endpoint views --------------------------------------------------------
 
@@ -322,12 +247,9 @@ class TelemetryServer:
         since = None
         if "since_s" in params:
             since = time.time() - float(params["since_s"][0])
-        buckets = int(params["buckets"][0]) if "buckets" in params else None
-        names = params.get("name")
         return {
             "ts": time.time(),
-            "series": self.store.to_dict(since=since, buckets=buckets,
-                                         names=names),
+            "series": self.registry.rollups(since=since, names=params.get("name")),
         }
 
     def alerts_view(self) -> dict:
@@ -360,8 +282,8 @@ def render_status(timeseries: dict, alerts: dict) -> str:
     """One watch frame: series table + alert summary."""
     rows = [("series", "count", "last", "mean", "p95")]
     for name, entry in sorted(timeseries.get("series", {}).items()):
-        if not entry.get("count"):
-            continue
+        if not entry.get("count") and entry.get("last") is None:
+            continue  # a histogram with no samples in the window
         rows.append((
             name,
             _format_value(entry.get("count")),
@@ -451,8 +373,8 @@ def watch(
 STREAM_BACKOFF_S = 0.5
 STREAM_BACKOFF_CAP_S = 8.0
 
-#: Consecutive failed (re)connect attempts tolerated by default.
-DEFAULT_STREAM_RETRIES = 5
+#: Consecutive failed (re)connect attempts tolerated before giving up.
+STREAM_RETRIES = 5
 
 
 def _iter_sse_frames(resp):
@@ -489,7 +411,6 @@ def _iter_sse_frames(resp):
 def stream_events(
     url: str,
     reconnect: bool = True,
-    max_retries: int = DEFAULT_STREAM_RETRIES,
     max_events: Optional[int] = None,
     duration_s: Optional[float] = None,
     stream: Optional[TextIO] = None,
@@ -502,8 +423,8 @@ def stream_events(
     (:data:`STREAM_BACKOFF_S` doubling up to
     :data:`STREAM_BACKOFF_CAP_S`); any received frame — keep-alives
     included — resets the retry budget.  Returns 0 when ``max_events``
-    or ``duration_s`` bounds the tail, and 1 only once ``max_retries``
-    consecutive attempts failed (immediately on the first drop under
+    or ``duration_s`` bounds the tail, and 1 only once
+    :data:`STREAM_RETRIES` consecutive attempts failed (immediately on the first drop under
     ``reconnect=False``).
     """
     out = stream if stream is not None else sys.stdout
@@ -550,15 +471,15 @@ def stream_events(
         if not reconnect:
             return 1
         attempts += 1
-        if attempts > max_retries:
+        if attempts > STREAM_RETRIES:
             out.write(
-                f"events: giving up after {max_retries} failed "
+                f"events: giving up after {STREAM_RETRIES} failed "
                 f"reconnect attempts\n"
             )
             out.flush()
             return 1
         out.write(f"events: reconnecting in {backoff:.1f}s "
-                  f"(attempt {attempts}/{max_retries})\n")
+                  f"(attempt {attempts}/{STREAM_RETRIES})\n")
         out.flush()
         time.sleep(backoff)
         backoff = min(backoff * 2.0, STREAM_BACKOFF_CAP_S)

@@ -44,7 +44,6 @@ import time
 from typing import IO, Any, Dict, Optional, Union
 
 from repro.obs.events import SCHEMA_VERSION, JsonlWriter, jsonable
-from repro.obs.flightrec import record as flightrec_record
 
 #: Directory holding per-worker trace shards, next to the parent trace file:
 #: ``/path/run.jsonl`` -> ``/path/run.jsonl.shards/worker-<pid>.jsonl``.
@@ -92,11 +91,6 @@ class Span:
         self._ts = time.time()
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
-        flightrec_record(
-            "trace.span_open",
-            {"name": self.name, "span_id": self.span_id, "depth": self.depth},
-            ts=self._ts,
-        )
         return self
 
     def record(self, **attrs) -> None:
@@ -264,14 +258,26 @@ class Tracer:
         return Span(self, name, attrs)
 
     def event(self, name: str, **attrs) -> None:
-        """Record a point-in-time observation under the current span."""
+        """Record a trace-only observation under the current span.
+
+        For per-packet detail that only a trace reader wants.  Run-level
+        events (chunks, progress, alerts, stalls) go through
+        :func:`repro.obs.flightrec.emit`, which also writes them here.
+        """
+        if self.enabled:
+            self.write_event(name, attrs)
+
+    def write_event(
+        self, name: str, attrs: Optional[dict] = None, ts: Optional[float] = None
+    ) -> None:
+        """Write one ``event`` record while enabled (``ts`` defaults to now)."""
         if not self.enabled:
             return
         current = self.current_span
         record = {
             "type": "event",
             "name": name,
-            "ts": time.time(),
+            "ts": time.time() if ts is None else ts,
             "parent_id": current.span_id if current is not None else None,
         }
         if attrs:
@@ -279,13 +285,6 @@ class Tracer:
         self._emit(record)
 
     def _emit(self, record: dict) -> None:
-        # Every record that reaches a sink also lands on the black-box
-        # flight recorder, so crash bundles keep the final spans/events
-        # even when the trace file itself is lost or torn.
-        flightrec_record(
-            "trace." + str(record.get("type", "record")),
-            record, ts=record.get("ts"),
-        )
         if self._writer is not None:
             self._writer.write(record)
 

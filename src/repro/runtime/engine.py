@@ -28,18 +28,20 @@ Execution model:
 * a chunk whose future fails — the kernel raised, or the worker died and
   the pool broke — is retried *serially in the parent process*, recorded
   through ``repro.obs`` (``runtime.chunk_failures`` /
-  ``runtime.serial_retries`` counters and a trace event);
+  ``runtime.serial_retries`` counters and a ``runtime.chunk_failure``
+  event);
 * in-parent execution never touches multiprocessing at all;
 * an optional JSONL checkpoint persists each completed chunk, and
   ``resume=True`` skips chunks already on disk (header-validated);
 * every chunk completion feeds a :class:`repro.obs.progress.SweepProgress`
   tracker, which renders a live stderr status line (done/total, trials/s,
-  ETA, retries) and mirrors it as ``runtime.progress`` trace events —
+  ETA, retries) and publishes it as ``runtime.progress`` events —
   parent-process-only state that cannot affect results;
 * every completed chunk carries a dispatch-overhead *envelope* (worker
   wall/CPU compute, receive/done timestamps, result-serialization cost)
-  recorded in the parent as ``runtime.chunk`` trace events and
-  ``runtime.*`` metrics; :func:`repro.obs.profile.attribute_chunks` folds
+  recorded in the parent as ``runtime.chunk`` events (flight recorder,
+  trace, SSE: :func:`repro.obs.flightrec.emit`) and ``runtime.*``
+  metrics; :func:`repro.obs.profile.attribute_chunks` folds
   these into the per-worker ``wall = compute + dispatch + serialization +
   idle`` breakdown stamped into :attr:`SweepResult.overhead`;
 * when the parent traces to a file, pool workers re-open per-worker JSONL
@@ -65,11 +67,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.obs import get_logger, metrics, shards, trace
 from repro.obs.events import jsonable
-from repro.obs.flightrec import record as flightrec_record
+from repro.obs.flightrec import emit
 from repro.obs.metrics import Timer
 from repro.obs.profile import attribute_chunks
 from repro.obs.progress import SweepProgress
-from repro.obs.timeseries import get_store
 from repro.runtime import faults
 from repro.runtime.checkpoint import header_chunk_size, open_checkpoint, sweep_header
 from repro.runtime.seeding import seed_sequence
@@ -140,9 +141,6 @@ _SER_TASK_S = metrics.counter("runtime.ser_task_s")
 _SER_TASK_BYTES = metrics.counter("runtime.ser_task_bytes")
 _SER_RESULT_S = metrics.counter("runtime.ser_result_s")
 _SER_RESULT_BYTES = metrics.counter("runtime.ser_result_bytes")
-
-#: Live time-series store the chunk envelopes publish into (parent-side).
-_STORE = get_store()
 
 #: Overhead breakdowns of completed sweeps, drained by benchmark tooling.
 _SWEEP_OVERHEADS: List[Dict[str, Any]] = []
@@ -405,7 +403,7 @@ def _account_chunk(
     envelope: Envelope,
     ser_task: Tuple[int, float] = (0, 0.0),
 ) -> None:
-    """Fold a completed chunk's envelope into metrics and a trace event.
+    """Fold a completed chunk's envelope into metrics and a ``runtime.chunk`` event.
 
     Parent-side only.  ``mode`` is ``"pool"``, ``"batched"`` or
     ``"retry"``; pool chunks are attributed per worker process, and
@@ -437,24 +435,17 @@ def _account_chunk(
     if "mem_peak_kb" in envelope:
         rec["mem_peak_kb"] = float(envelope["mem_peak_kb"])
     acct.append(rec)
-    _QUEUE_WAIT_S.observe(rec["queue_wait_s"])
-    _WORKER_WALL_S.observe(rec["wall_s"])
-    _WORKER_CPU_S.observe(rec["cpu_s"])
+    _QUEUE_WAIT_S.observe(rec["queue_wait_s"], ts=done_ts)
+    _WORKER_WALL_S.observe(rec["wall_s"], ts=done_ts)
+    _WORKER_CPU_S.observe(rec["cpu_s"], ts=done_ts)
     _SER_TASK_S.inc(rec["ser_task_s"])
     _SER_TASK_BYTES.inc(rec["ser_task_bytes"])
     _SER_RESULT_S.inc(rec["ser_result_s"])
     _SER_RESULT_BYTES.inc(rec["ser_result_bytes"])
-    # Live layer: every envelope also lands in the process-global
-    # time-series store, timestamped at chunk completion, so /timeseries
-    # and the alert rules see per-chunk latency history while the sweep
-    # runs (parent-side only, like the counters above).
-    _STORE.record("runtime.chunk_wall_s", rec["wall_s"], ts=done_ts)
-    _STORE.record("runtime.chunk_queue_wait_s", rec["queue_wait_s"], ts=done_ts)
-    # The chunk envelope (minus the result payload) also lands on the
-    # always-on flight recorder, so a crash bundle shows which chunks
-    # completed in the final seconds even when no trace was configured.
-    flightrec_record("runtime.chunk", rec, ts=done_ts)
-    trace.event("runtime.chunk", **rec)
+    # One event per envelope (minus the result payload): the profiler
+    # reads it from the trace, and a crash bundle's flight recorder shows
+    # which chunks completed in the final seconds.
+    emit("runtime.chunk", rec, ts=done_ts)
 
 
 def assemble_results(
@@ -664,10 +655,10 @@ def _retry_serially(
         "retrying serially in-parent",
         cell_index, chunk_index, name, where, type(error).__name__, error,
     )
-    trace.event(
-        "runtime.chunk_failure", sweep=name, cell=cell_index,
-        chunk=chunk_index, error=type(error).__name__,
-    )
+    emit("runtime.chunk_failure", {
+        "sweep": name, "cell": cell_index, "chunk": chunk_index,
+        "error": type(error).__name__,
+    })
     retry_ts = time.time()
     envelope = run_chunk(
         kernel, name, master_seed, cells[cell_index].params,

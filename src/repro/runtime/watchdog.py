@@ -19,11 +19,10 @@ the current **deadline**:
 On a stall the watchdog — from its own thread, so a hung main thread
 cannot stop it —
 
-1. emits a ``runtime.watchdog`` trace event, bumps the
-   ``runtime.watchdog_stalls`` counter and time series (which the
-   builtin critical alert rule ``runtime.watchdog_stall`` watches),
-2. records the stall on the flight recorder and writes a
-   ``runs/crash-<runid>/`` forensics bundle — including a
+1. bumps the ``runtime.watchdog_stalls`` counter (which the builtin
+   critical alert rule ``runtime.watchdog_stall`` watches),
+2. emits one ``runtime.watchdog`` event (flight recorder, trace, SSE)
+   and writes a ``runs/crash-<runid>/`` forensics bundle — including a
    ``faulthandler`` dump of every thread, hung ones included,
 3. releases cooperative fault hangs (:func:`repro.runtime.faults
    .cancel_hangs`) and sets :attr:`stalled`, on which the engine's
@@ -43,9 +42,8 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.obs import get_logger, metrics, trace
-from repro.obs.flightrec import record as flightrec_record
-from repro.obs.timeseries import get_store
+from repro.obs import get_logger, metrics
+from repro.obs.flightrec import emit
 
 logger = get_logger(__name__)
 
@@ -248,9 +246,7 @@ class ChunkWatchdog:
             "dumping forensics and recovering serially",
             self.sweep, waited, deadline, len(in_flight), self.mode,
         )
-        trace.event("runtime.watchdog", **info)
-        flightrec_record("runtime.watchdog", info)
-        get_store().record("runtime.watchdog_stalls", float(_STALLS.value))
+        emit("runtime.watchdog", info)
         bundle = blackbox.write_crash_bundle("watchdog_stall", detail=info)
         if bundle is not None:
             info["bundle"] = str(bundle)

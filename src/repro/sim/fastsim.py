@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.channel.models import ChannelModel, RicianChannel
 from repro.core.beamforming import zero_forcing_precoder_wideband
-from repro.obs import metrics, timeseries
+from repro.obs import metrics
 from repro.utils.rng import complex_normal, ensure_rng
 from repro.utils.units import db_to_linear, linear_to_db
 from repro.utils.validation import require
@@ -41,14 +41,12 @@ N_BINS = 52
 PHASE_SIGMA_SCALE_ENV = "REPRO_PHASE_SIGMA_SCALE"
 
 # module-level telemetry handles: these functions are the fast path of the
-# 20-topology figure sweeps, so the handles are resolved exactly once
+# 20-topology figure sweeps, so the handles are resolved exactly once.  The
+# histogram's timestamped ring is what the §7.3 budget alert rules and
+# /timeseries read, so a degradation shows *during* the run.
 _OBS_PHASE_ERR = metrics.histogram("fastsim.phase_error_rad")
 _OBS_DRAWS = metrics.counter("fastsim.phase_error_draws")
 _OBS_ESTIMATES = metrics.counter("fastsim.estimates_corrupted")
-# Live twin of the histogram: sync health flows into the time-series store
-# as it is drawn, so the §7.3 budget alert rules and /timeseries see a
-# degradation *during* the run, not at exit (the ring buffer bounds cost).
-_TS_PHASE_ERR = timeseries.series("fastsim.phase_error_rad")
 
 
 @dataclass
@@ -99,7 +97,6 @@ class SyncErrorModel:
         if errors.size:
             worst = float(np.max(np.abs(errors)))
             _OBS_PHASE_ERR.observe(worst)
-            _TS_PHASE_ERR.record(worst)
         return errors
 
     def corrupt_estimate(self, channels: np.ndarray, snr_db, rng) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Flight recorder: ring semantics, env knobs, dumps, taps, overhead bound."""
+"""Event ring: ring semantics, env knob, dumps, fan-out, overhead bound."""
 
 import json
 import time
@@ -7,15 +7,15 @@ import pytest
 
 from repro.obs import flightrec
 from repro.obs.alerts import AlertEngine, AlertRule
+from repro.obs.events import read_events
 from repro.obs.flightrec import (
-    CAPACITY_ENV,
     DEFAULT_CAPACITY,
     DUMP_SCHEMA,
     ENABLE_ENV,
     FlightRecorder,
     get_recorder,
 )
-from repro.obs.timeseries import TimeSeriesStore
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
@@ -76,6 +76,40 @@ class TestRing:
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
 
+    def test_concurrent_records_and_subscribers_lose_nothing(self):
+        import sys
+        import threading
+
+        rec = FlightRecorder(capacity=100_000, enabled=True)
+        n_threads, n_records = 8, 500
+        done = threading.Event()
+
+        def produce():
+            for i in range(n_records):
+                rec.record("k", {"i": i})
+
+        def churn():  # SSE clients connecting and leaving meanwhile
+            while not done.is_set():
+                rec.unsubscribe(rec.subscribe(maxsize=1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            churner = threading.Thread(target=churn)
+            churner.start()
+            producers = [threading.Thread(target=produce) for _ in range(n_threads)]
+            for t in producers:
+                t.start()
+            for t in producers:
+                t.join(timeout=30.0)
+            done.set()
+            churner.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not churner.is_alive()
+        assert not any(t.is_alive() for t in producers)
+        assert rec.total == len(rec) == n_threads * n_records
+
 
 class TestEnvKnobs:
     def test_enable_env_zero_disables(self, monkeypatch):
@@ -85,18 +119,6 @@ class TestEnvKnobs:
         assert FlightRecorder().enabled is True
         monkeypatch.delenv(ENABLE_ENV)
         assert FlightRecorder().enabled is True  # on by default
-
-    def test_capacity_env_resizes_ring(self, monkeypatch):
-        monkeypatch.setenv(CAPACITY_ENV, "2")
-        rec = FlightRecorder(enabled=True)
-        assert rec.capacity == 2
-        for i in range(4):
-            rec.record("k", {"i": i})
-        assert len(rec) == 2
-
-    def test_malformed_capacity_falls_back(self, monkeypatch):
-        monkeypatch.setenv(CAPACITY_ENV, "lots")
-        assert FlightRecorder().capacity == DEFAULT_CAPACITY
 
 
 class TestDump:
@@ -121,44 +143,62 @@ class TestDump:
 
 
 class TestTaps:
-    """The existing publication points feed the global ring."""
+    """One record call feeds the ring, the open trace and SSE subscribers."""
 
-    def test_tracer_spans_and_events_land_on_ring(self, tmp_path):
+    def test_record_writes_one_trace_event(self, tmp_path):
+        t = Tracer()
+        rec = FlightRecorder(capacity=8, enabled=True, tracer=t)
+        path = tmp_path / "trace.jsonl"
+        t.configure(str(path))
+        with t.span("unit.work"):
+            rec.record("unit.tick", {"v": 1}, ts=5.0)
+        t.close()
+        rec.record("unit.after_close")  # no sink: ring only
+        (event,) = [r for r in read_events(str(path)) if r["type"] == "event"]
+        (span,) = [r for r in read_events(str(path)) if r["type"] == "span"]
+        assert event["name"] == "unit.tick" and event["ts"] == 5.0
+        assert event["attrs"] == {"v": 1}
+        assert event["parent_id"] == span["span_id"]
+        assert [r["kind"] for r in rec.snapshot()] == ["unit.tick", "unit.after_close"]
+
+    def test_spans_stay_off_the_ring(self, tmp_path):
         t = Tracer()
         t.configure(str(tmp_path / "trace.jsonl"))
         with t.span("unit.work"):
-            t.event("unit.tick", v=1)
+            t.event("unit.detail", v=1)  # trace-only annotation
         t.close()
-        kinds = [r["kind"] for r in get_recorder().snapshot()]
-        assert "trace.span_open" in kinds
-        assert "trace.span" in kinds  # close record through _emit
-        assert "trace.event" in kinds
-        opened = get_recorder().snapshot(kind="trace.span_open")
-        assert opened[0]["data"]["name"] == "unit.work"
-
-    def test_store_samples_land_on_ring(self):
-        store = TimeSeriesStore()
-        store.record("unit.metric", 2.5, ts=1.0)
-        (sample,) = get_recorder().snapshot(kind="series.sample")
-        assert sample["data"] == {"name": "unit.metric", "value": 2.5}
-        assert sample["ts"] == 1.0
+        assert get_recorder().snapshot() == []
 
     def test_alert_transitions_land_on_ring(self):
-        store = TimeSeriesStore()
-        store.record("s.x", 9.0, ts=10.0)
+        reg = MetricsRegistry()
+        reg.histogram("s.x").observe(9.0, ts=10.0)
         engine = AlertEngine([
             AlertRule(name="s.high", series="s.x", threshold=1.0),
         ])
-        (transition,) = engine.evaluate(store, now=10.0)
+        (transition,) = engine.evaluate(reg, now=10.0)
         (tap,) = get_recorder().snapshot(kind="obs.alert")
         assert tap["data"] == transition
 
     def test_bus_frames_land_on_ring(self):
-        from repro.obs.serve import EventBus
+        # an SSE subscriber's frame and the ring record come from one call
+        rec = FlightRecorder(capacity=8, enabled=True)
+        q = rec.subscribe()
+        rec.record("runtime.progress", {"done": 1})
+        assert q.get_nowait() == ("runtime.progress", {"done": 1})
+        assert rec.last()["data"] == {"done": 1}
 
-        EventBus().publish("progress", {"done": 1})
-        (tap,) = get_recorder().snapshot(kind="bus.progress")
-        assert tap["data"] == {"done": 1}
+    def test_disabled_ring_still_feeds_trace_and_subscribers(self, tmp_path):
+        t = Tracer()
+        rec = FlightRecorder(capacity=8, enabled=False, tracer=t)
+        q = rec.subscribe()
+        path = tmp_path / "trace.jsonl"
+        t.configure(str(path))
+        rec.record("unit.tick", {"v": 1})
+        t.close()
+        assert len(rec) == 0
+        assert q.get_nowait() == ("unit.tick", {"v": 1})
+        assert [r["name"] for r in read_events(str(path))
+                if r["type"] == "event"] == ["unit.tick"]
 
 
 class TestOverheadBound:
@@ -176,7 +216,7 @@ class TestOverheadBound:
 
         def pump(rec):
             for _ in range(n):
-                rec.record("series.sample", payload, ts=1.0)
+                rec.record("runtime.chunk", payload, ts=1.0)
 
         def best_of(fn, rec, reps=5):
             best = float("inf")
@@ -199,5 +239,23 @@ class TestOverheadBound:
 
 class TestGlobalRecorder:
     def test_module_record_feeds_global_ring(self):
-        flightrec.record("unit.kind", {"a": 1})
+        flightrec.emit("unit.kind", {"a": 1})
         assert get_recorder().last("unit.kind")["data"] == {"a": 1}
+
+
+class TestSweepEvents:
+    def test_fig9_sweep_leaves_one_record_per_chunk_and_tick(self, monkeypatch):
+        """No trace, no server: the ring holds chunks and progress ticks only.
+
+        Each value the sweep samples lives in one store (the registry); the
+        ring gets one event per chunk and per progress tick and no copies
+        of metric samples.
+        """
+        from collections import Counter
+
+        from repro.sim.experiments import run_fig9
+
+        monkeypatch.setenv("REPRO_PROGRESS", "0")
+        run_fig9(seed=2, n_aps=(2, 6), n_topologies=20, backend="auto")
+        kinds = Counter(r["kind"] for r in get_recorder().snapshot())
+        assert kinds == {"runtime.chunk": 6, "runtime.progress": 3}

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, reservoir histograms."""
+"""Metrics registry: counters, gauges, ring histograms, live rollups."""
 
 import json
 
@@ -49,7 +49,7 @@ class TestHistogram:
         data = rng.normal(10.0, 2.0, 5000)
         for x in data:
             h.observe(x)
-        # count/mean/min/max are exact regardless of reservoir overflow
+        # count/mean/min/max are exact regardless of ring overflow
         assert h.count == 5000
         assert h.mean == pytest.approx(np.mean(data))
         assert h.min == pytest.approx(np.min(data))
@@ -61,8 +61,26 @@ class TestHistogram:
         data = rng.uniform(0.0, 1.0, 20000)
         for x in data:
             h.observe(x)
-        # a 512-sample uniform reservoir pins the median within a few percent
+        # the most recent 512 draws of a stationary stream pin the median
         assert h.percentile(50) == pytest.approx(0.5, abs=0.08)
+
+    def test_percentiles_past_capacity_cover_the_most_recent_samples(self):
+        h = Histogram("h", capacity=4)
+        for x in (100.0, 200.0, 1.0, 2.0, 3.0, 4.0):
+            h.observe(x)
+        assert h.percentile(100) == 4.0  # 100 and 200 left the ring
+        assert h.max == 200.0  # running stats stay exact
+        assert h.to_dict()["p50"] == pytest.approx(2.5)
+
+    def test_rollup_windows_by_timestamp(self):
+        h = Histogram("h")
+        h.observe(9.0, ts=0.0)
+        h.observe(1.0, ts=10.0)
+        h.observe(3.0, ts=11.0)
+        assert h.rollup()["count"] == 3
+        window = h.rollup(since=10.0)
+        assert window["count"] == 2 and window["max"] == 3.0
+        assert window["last"] == 3.0
 
     def test_empty(self):
         h = Histogram("h")
@@ -123,3 +141,43 @@ class TestRegistry:
         c.inc()
         assert metrics.get_registry().get("test.global.counter").value == 1.0
         assert "test.global.counter" in metrics.to_dict()
+
+
+class TestRollups:
+    def _registry(self):
+        reg = MetricsRegistry()
+        for i in range(4):
+            reg.histogram("runtime.rate").observe(float(i), ts=float(i))
+            reg.histogram("sim.err").observe(0.01 * i, ts=float(i))
+        return reg
+
+    def test_histograms_roll_up_with_totals(self):
+        view = self._registry().rollups()
+        assert set(view) == {"runtime.rate", "sim.err"}
+        assert view["runtime.rate"]["type"] == "histogram"
+        assert view["runtime.rate"]["count"] == 4
+        assert view["runtime.rate"]["total"] == 4
+        assert view["runtime.rate"]["p95"] > 2.0
+
+    def test_since_windows_histograms_not_totals(self):
+        view = self._registry().rollups(since=2.0)
+        assert view["sim.err"]["count"] == 2
+        assert view["sim.err"]["total"] == 4
+
+    def test_glob_filter_selects_metrics(self):
+        view = self._registry().rollups(names="runtime.*")
+        assert set(view) == {"runtime.rate"}
+        view = self._registry().rollups(names=["sim.*", "runtime.*"])
+        assert set(view) == {"runtime.rate", "sim.err"}
+
+    def test_counters_and_gauges_give_their_value(self):
+        reg = MetricsRegistry()
+        reg.counter("runtime.chunks").inc(3)
+        reg.gauge("sim.goodput").set(36.0)
+        reg.gauge("never.set")
+        reg.histogram("mac.err")
+        view = reg.rollups()
+        assert view["runtime.chunks"] == {"type": "counter", "last": 3.0}
+        assert view["sim.goodput"] == {"type": "gauge", "last": 36.0}
+        assert "never.set" not in view  # unset gauges are skipped
+        assert view["mac.err"] == {"type": "histogram", "count": 0, "total": 0}

@@ -1,4 +1,4 @@
-"""Live telemetry endpoint: routes, SSE stream, event bus, watch client."""
+"""Live telemetry endpoint: routes, SSE stream, subscriber fan-out, watch client."""
 
 import io
 import json
@@ -9,11 +9,11 @@ import pytest
 
 from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.export import validate_openmetrics
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.flightrec import EVENTS_DROPPED, FlightRecorder
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.serve import (
     EXIT_ALERT,
     OPENMETRICS_CONTENT_TYPE,
-    EventBus,
     TelemetryServer,
     _iter_sse_frames,
     fetch_json,
@@ -21,7 +21,6 @@ from repro.obs.serve import (
     stream_events,
     watch,
 )
-from repro.obs.timeseries import TimeSeriesStore
 
 
 @pytest.fixture
@@ -31,14 +30,13 @@ def server():
     registry.counter("runtime.chunks_run").inc(3)
     registry.gauge("sim.goodput_mbps").set(36.0)
     registry.histogram("mac.phase_error_rad").observe(0.01)
-    store = TimeSeriesStore()
     engine = AlertEngine([
         AlertRule(name="test.err_budget", series="sim.err",
                   kind="budget", stat="last", threshold=0.05),
     ])
     srv = TelemetryServer(
-        port=0, registry=registry, store=store, engine=engine,
-        bus=EventBus(), eval_interval_s=10.0,  # evaluate manually in tests
+        port=0, registry=registry, engine=engine,
+        eval_interval_s=10.0,  # evaluate manually in tests
     )
     srv.start()
     yield srv
@@ -71,18 +69,21 @@ class TestEndpoints:
 
     def test_timeseries_rollups_and_params(self, server):
         for i in range(4):
-            server.store.record("sim.err", 0.01 * i, ts=float(i))
+            server.registry.histogram("sim.err").observe(0.01 * i, ts=float(i))
         body = fetch_json(server.url + "/timeseries")
         assert body["series"]["sim.err"]["count"] == 4
-        body = fetch_json(server.url + "/timeseries?buckets=2&name=sim.*")
+        body = fetch_json(server.url + "/timeseries?name=sim.e*")
         assert set(body["series"]) == {"sim.err"}
-        assert len(body["series"]["sim.err"]["points"]) == 2
+        # the samples are decades old: a 60-s window holds none of them
+        body = fetch_json(server.url + "/timeseries?since_s=60&name=sim.e*")
+        assert body["series"]["sim.err"]["count"] == 0
+        assert body["series"]["sim.err"]["total"] == 4
 
     def test_alerts_view_reflects_engine_state(self, server):
         body = fetch_json(server.url + "/alerts")
         assert body["firing"] == []
         assert body["rules"]["test.err_budget"]["status"] == "ok"
-        server.store.record("sim.err", 0.2)
+        server.registry.histogram("sim.err").observe(0.2)
         server.evaluate_once()
         body = fetch_json(server.url + "/alerts")
         (firing,) = body["firing"]
@@ -94,11 +95,11 @@ class TestEndpoints:
             get(server.url + "/nope")
         assert err.value.code == 404
 
-    def test_evaluator_samples_registry_into_store(self, server):
-        server.evaluate_once()
-        view = server.store.to_dict()
-        assert view["runtime.chunks_run"]["count"] >= 1
-        assert "mac.phase_error_rad.p95" in view
+    def test_timeseries_reads_the_registry(self, server):
+        series = fetch_json(server.url + "/timeseries")["series"]
+        assert series["runtime.chunks_run"] == {"type": "counter", "last": 3.0}
+        assert series["sim.goodput_mbps"]["last"] == 36.0
+        assert series["mac.phase_error_rad"]["p95"] == pytest.approx(0.01)
 
     def test_stop_is_idempotent(self, server):
         server.stop()
@@ -139,7 +140,7 @@ class TestSse:
         # breach the budget, then evaluate from a thread while we read
         import threading
 
-        server.store.record("sim.err", 0.2)
+        server.registry.histogram("sim.err").observe(0.2)
         timer = threading.Timer(0.2, server.evaluate_once)
         timer.start()
         try:
@@ -147,7 +148,7 @@ class TestSse:
         finally:
             timer.cancel()
         kinds = [k for k, _ in frames]
-        assert kinds == ["hello", "alert"]
+        assert kinds == ["hello", "obs.alert"]
         _, alert = frames[1]
         assert alert["rule"] == "test.err_budget"
         assert alert["status"] == "firing" and alert["previous"] == "ok"
@@ -164,36 +165,44 @@ class TestSse:
 
 
 class TestEventBus:
+    """SSE fan-out: the flight recorder hands each event to subscribers."""
+
+    @staticmethod
+    def _dropped():
+        return get_registry().counter(EVENTS_DROPPED).value
+
     def test_fanout_to_all_subscribers(self):
-        bus = EventBus()
-        a, b = bus.subscribe(), bus.subscribe()
-        bus.publish("tick", {"n": 1})
+        rec = FlightRecorder(enabled=True)
+        a, b = rec.subscribe(), rec.subscribe()
+        before = self._dropped()
+        rec.record("tick", {"n": 1})
         assert a.get_nowait() == ("tick", {"n": 1})
         assert b.get_nowait() == ("tick", {"n": 1})
-        assert bus.published == 1 and bus.dropped == 0
+        assert rec.total == 1 and self._dropped() == before
 
     def test_full_subscriber_drops_without_blocking(self):
-        bus = EventBus(maxsize=2)
-        q = bus.subscribe()
+        rec = FlightRecorder(enabled=True)
+        q = rec.subscribe(maxsize=2)
+        before = self._dropped()
         for i in range(5):
-            bus.publish("tick", {"n": i})
-        assert bus.dropped == 3
+            rec.record("tick", {"n": i})
+        assert self._dropped() == before + 3
         assert q.qsize() == 2
         assert q.get_nowait()[1] == {"n": 0}  # oldest frames are kept
 
     def test_unsubscribe_stops_delivery(self):
-        bus = EventBus()
-        q = bus.subscribe()
-        bus.unsubscribe(q)
-        bus.publish("tick", {})
+        rec = FlightRecorder(enabled=True)
+        q = rec.subscribe()
+        rec.unsubscribe(q)
+        rec.record("tick", {})
         with pytest.raises(queue.Empty):
             q.get_nowait()
 
     def test_payload_is_copied_per_subscriber(self):
-        bus = EventBus()
-        a, b = bus.subscribe(), bus.subscribe()
+        rec = FlightRecorder(enabled=True)
+        a, b = rec.subscribe(), rec.subscribe()
         payload = {"n": 1}
-        bus.publish("tick", payload)
+        rec.record("tick", payload)
         payload["n"] = 99  # later producer-side mutation must not leak
         frame_a = a.get_nowait()[1]
         assert frame_a == {"n": 1}
@@ -203,7 +212,7 @@ class TestEventBus:
 
 class TestWatch:
     def test_healthy_watch_renders_and_exits_zero(self, server):
-        server.store.record("sim.err", 0.01)
+        server.registry.histogram("sim.err").observe(0.01)
         out = io.StringIO()
         code = watch(server.url, iterations=1, stream=out)
         assert code == 0
@@ -212,7 +221,7 @@ class TestWatch:
         assert "0 firing / 1 rules" in text
 
     def test_fail_on_alert_exit_code(self, server):
-        server.store.record("sim.err", 0.2)
+        server.registry.histogram("sim.err").observe(0.2)
         server.evaluate_once()
         out = io.StringIO()
         code = watch(server.url, iterations=1, fail_on_alert=True, stream=out)
@@ -221,7 +230,7 @@ class TestWatch:
         assert "test.err_budget" in out.getvalue()
 
     def test_firing_without_flag_still_exits_zero(self, server):
-        server.store.record("sim.err", 0.2)
+        server.registry.histogram("sim.err").observe(0.2)
         server.evaluate_once()
         code = watch(server.url, iterations=1, stream=io.StringIO())
         assert code == 0
@@ -239,8 +248,8 @@ class TestWatch:
         assert code == 0
 
     def test_name_glob_filters_series(self, server):
-        server.store.record("sim.err", 0.01)
-        server.store.record("runtime.rate", 5.0)
+        server.registry.histogram("sim.err").observe(0.01)
+        server.registry.histogram("runtime.rate").observe(5.0)
         out = io.StringIO()
         watch(server.url, iterations=1, name="runtime.*", stream=out)
         text = out.getvalue()
@@ -269,32 +278,26 @@ class TestRenderStatus:
 
 
 class TestDropTelemetry:
-    """Satellite: bus drops surface as the obs.events.dropped counter."""
+    """Satellite: subscriber drops surface as the obs.events.dropped counter."""
 
     def test_drops_land_on_metric_and_series(self):
-        from repro.obs.serve import _EVENTS_DROPPED
-        from repro.obs.timeseries import get_store
-
-        before = _EVENTS_DROPPED.value
-        bus = EventBus(maxsize=1)
-        bus.subscribe()
+        rec = FlightRecorder(enabled=True)
+        rec.subscribe(maxsize=1)
+        before = get_registry().counter(EVENTS_DROPPED).value
         for i in range(4):
-            bus.publish("tick", {"n": i})
-        assert bus.dropped == 3
-        assert _EVENTS_DROPPED.value == before + 3
-        series = get_store().get("obs.events.dropped")
-        assert series is not None
-        assert series.points()[-1][1] == float(_EVENTS_DROPPED.value)
+            rec.record("tick", {"n": i})
+        dropped = get_registry().counter(EVENTS_DROPPED)
+        assert dropped.value == before + 3
+        # the counter is one of the registry metrics /timeseries reports
+        live = get_registry().rollups(names=EVENTS_DROPPED)
+        assert live[EVENTS_DROPPED]["last"] == dropped.value
 
     def test_clean_publish_records_nothing_new(self):
-        from repro.obs.serve import _EVENTS_DROPPED
-
-        before = _EVENTS_DROPPED.value
-        bus = EventBus(maxsize=4)
-        bus.subscribe()
-        bus.publish("tick", {"n": 1})
-        assert bus.dropped == 0
-        assert _EVENTS_DROPPED.value == before
+        rec = FlightRecorder(enabled=True)
+        rec.subscribe(maxsize=4)
+        before = get_registry().counter(EVENTS_DROPPED).value
+        rec.record("tick", {"n": 1})
+        assert get_registry().counter(EVENTS_DROPPED).value == before
 
 
 class TestStreamEvents:
@@ -332,9 +335,9 @@ class TestStreamEvents:
 
         monkeypatch.setattr(serve_mod, "STREAM_BACKOFF_S", 0.01)
         monkeypatch.setattr(serve_mod, "STREAM_BACKOFF_CAP_S", 0.02)
+        monkeypatch.setattr(serve_mod, "STREAM_RETRIES", 3)
         out = io.StringIO()
-        code = stream_events("http://127.0.0.1:9", max_retries=3,
-                             timeout=0.3, stream=out)
+        code = stream_events("http://127.0.0.1:9", timeout=0.3, stream=out)
         assert code == 1
         text = out.getvalue()
         assert text.count("reconnecting") == 3
@@ -360,9 +363,9 @@ class TestStreamEvents:
             return item
 
         monkeypatch.setattr(_request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(serve_mod, "STREAM_RETRIES", 2)
         out = io.StringIO()
-        code = stream_events("http://127.0.0.1:9", max_retries=2,
-                             max_events=2, stream=out)
+        code = stream_events("http://127.0.0.1:9", max_events=2, stream=out)
         assert code == 0
         lines = out.getvalue().splitlines()
         payloads = [json.loads(ln)["n"] for ln in lines if ln.startswith("{")]

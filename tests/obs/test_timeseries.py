@@ -1,16 +1,12 @@
-"""Time-series store: ring semantics, rollups, downsampling, registry taps."""
+"""Series ring (the history inside every histogram): ring semantics, rollups,
+and how the registry's metrics render as time-series rollups."""
 
 import threading
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import (
-    DEFAULT_CAPACITY,
-    Series,
-    TimeSeriesStore,
-    get_store,
-)
+from repro.obs.timeseries import DEFAULT_CAPACITY, Series
 
 
 class TestSeriesRing:
@@ -54,6 +50,11 @@ class TestSeriesRing:
         assert len(s) == 0 and s.total == 0 and s.points() == []
         s.record(2.0, ts=2.0)  # the cached handle still publishes
         assert s.points() == [(2.0, 2.0)]
+
+    def test_default_capacity_is_4096(self):
+        # a histogram's percentiles cover its most recent 4,096 samples
+        assert DEFAULT_CAPACITY == 4096
+        assert Series("t").capacity == 4096
 
     def test_concurrent_appends_lose_nothing(self):
         s = Series("t", capacity=4096)
@@ -101,138 +102,30 @@ class TestRollup:
         assert s.rollup(since=2.0) == {"count": 0}
 
 
-class TestDownsample:
-    def test_buckets_partition_the_time_range(self):
-        s = Series("t", capacity=64)
-        for i in range(40):
-            s.record(float(i), ts=float(i))
-        out = s.downsample(4)
-        assert len(out) == 4
-        assert sum(b["count"] for b in out) == 40
-        centres = [b["ts"] for b in out]
-        assert centres == sorted(centres)
-        assert out[0]["min"] == 0.0
-        assert out[-1]["max"] == 39.0
-
-    def test_single_point_collapses_to_one_bucket(self):
-        s = Series("t")
-        s.record(3.0, ts=5.0)
-        assert s.downsample(8) == [
-            {"ts": 5.0, "count": 1, "min": 3.0, "max": 3.0, "mean": 3.0}
-        ]
-
-    def test_empty_series_downsamples_to_nothing(self):
-        assert Series("t").downsample(4) == []
-
-    def test_empty_buckets_are_omitted(self):
-        s = Series("t", capacity=8)
-        s.record(1.0, ts=0.0)
-        s.record(2.0, ts=100.0)  # long gap: middle buckets are empty
-        out = s.downsample(10)
-        assert len(out) == 2
-        assert [b["count"] for b in out] == [1, 1]
-
-    def test_bucket_count_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Series("t").downsample(0)
-
-
-class TestStore:
-    def test_series_is_get_or_create(self):
-        store = TimeSeriesStore()
-        a = store.series("x.y")
-        assert store.series("x.y") is a
-        assert store.get("x.y") is a
-        assert store.get("missing") is None
-        assert store.names() == ["x.y"]
-
-    def test_capacity_applies_on_create_only(self):
-        store = TimeSeriesStore(capacity=8)
-        assert store.series("a").capacity == 8
-        assert store.series("b", capacity=2).capacity == 2
-        assert store.series("b", capacity=99).capacity == 2  # already created
-
-    def test_record_convenience(self):
-        store = TimeSeriesStore()
-        store.record("a.b", 1.5, ts=1.0)
-        assert store.get("a.b").points() == [(1.0, 1.5)]
-
-    def test_reset_clears_every_series_in_place(self):
-        store = TimeSeriesStore()
-        handle = store.series("a")
-        handle.record(1.0)
-        store.reset()
-        assert len(handle) == 0
-        assert store.get("a") is handle
-
-    def test_global_store_is_a_singleton(self):
-        assert get_store() is get_store()
-
-
 class TestSampleRegistry:
     def test_counters_gauges_histograms_snapshot(self):
-        store = TimeSeriesStore()
         reg = MetricsRegistry()
         reg.counter("runtime.chunks").inc(3)
         reg.gauge("sim.goodput").set(36.0)
         reg.gauge("never.set")
         hist = reg.histogram("mac.err")
-        for v in (0.01, 0.02, 0.03):
-            hist.observe(v)
-        store.sample_registry(reg, ts=10.0)
-        assert store.get("runtime.chunks").points() == [(10.0, 3.0)]
-        assert store.get("sim.goodput").points() == [(10.0, 36.0)]
-        assert store.get("never.set") is None  # unset gauges are skipped
-        # histograms become derived sub-series, not raw draws
-        assert store.get("mac.err") is None
-        assert store.get("mac.err.p50").rollup()["count"] == 1
-        assert store.get("mac.err.p95").rollup()["count"] == 1
-        assert store.get("mac.err.mean").points() == [(10.0, pytest.approx(0.02))]
+        for i, v in enumerate((0.01, 0.02, 0.03)):
+            hist.observe(v, ts=10.0 + i)
+        view = reg.rollups()
+        assert set(view) == {"runtime.chunks", "sim.goodput", "mac.err"}
+        assert view["runtime.chunks"] == {"type": "counter", "last": 3.0}
+        assert view["sim.goodput"] == {"type": "gauge", "last": 36.0}
+        # histograms render derived statistics over their ring, not raw draws
+        err = view["mac.err"]
+        assert err["type"] == "histogram"
+        assert err["count"] == err["total"] == 3
+        assert err["first_ts"] == 10.0 and err["last_ts"] == 12.0
+        assert err["mean"] == pytest.approx(0.02)
+        assert err["p50"] == pytest.approx(0.02)
+        assert 0.02 < err["p95"] <= 0.03
 
     def test_empty_histogram_contributes_nothing(self):
-        store = TimeSeriesStore()
         reg = MetricsRegistry()
-        reg.histogram("h")
-        store.sample_registry(reg, ts=1.0)
-        assert store.names() == []
-
-    def test_repeated_samples_grow_history(self):
-        store = TimeSeriesStore()
-        reg = MetricsRegistry()
-        counter = reg.counter("c")
-        for i in range(3):
-            counter.inc()
-            store.sample_registry(reg, ts=float(i))
-        assert store.get("c").points() == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-
-
-class TestToDict:
-    def _store(self):
-        store = TimeSeriesStore()
-        for i in range(4):
-            store.record("runtime.rate", float(i), ts=float(i))
-            store.record("sim.err", 0.01 * i, ts=float(i))
-        return store
-
-    def test_rollup_view_with_totals(self):
-        view = self._store().to_dict()
-        assert set(view) == {"runtime.rate", "sim.err"}
-        assert view["runtime.rate"]["count"] == 4
-        assert view["runtime.rate"]["total"] == 4
-        assert "points" not in view["runtime.rate"]
-
-    def test_glob_filter_selects_series(self):
-        view = self._store().to_dict(names="runtime.*")
-        assert set(view) == {"runtime.rate"}
-        view = self._store().to_dict(names=["sim.*", "runtime.*"])
-        assert set(view) == {"runtime.rate", "sim.err"}
-
-    def test_buckets_add_downsampled_points(self):
-        view = self._store().to_dict(buckets=2)
-        points = view["sim.err"]["points"]
-        assert len(points) == 2
-        assert sum(b["count"] for b in points) == 4
-
-    def test_default_capacity_sanity(self):
-        # the documented footprint bound: two float64 arrays per series
-        assert DEFAULT_CAPACITY == 1024
+        hist = reg.histogram("h")
+        assert hist.series.points() == []
+        assert reg.rollups() == {"h": {"type": "histogram", "count": 0, "total": 0}}

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.obs import timeseries
+from repro.obs import metrics
 from repro.obs.events import read_events
 from repro.obs.progress import SweepProgress, _progress_mode
 from repro.obs.tracer import trace
@@ -221,15 +221,12 @@ class TestDerivedGuards:
 
 class TestLivePublication:
     def test_renders_mirror_into_the_timeseries_store(self, monkeypatch):
+        # what /timeseries serves: the registry's live rollups
         monkeypatch.setenv("REPRO_PROGRESS", "0")
-        store = timeseries.get_store()
-        store.reset()
-        before = {
-            name: store.get(name).total
-            for name in ("runtime.done_trials", "runtime.trials_per_s",
-                         "runtime.workers_busy", "runtime.worker_utilization")
-            if store.get(name) is not None
-        }
+        registry = metrics.get_registry()
+        names = ("runtime.trials_done", "runtime.trials_per_s",
+                 "runtime.workers_busy", "runtime.worker_utilization")
+        metrics.reset()
         tracker = SweepProgress("s", total_chunks=2, total_trials=4,
                                 workers=2, stream=io.StringIO(),
                                 min_interval_s=0.0,
@@ -237,15 +234,13 @@ class TestLivePublication:
         tracker.chunk_done(2)
         tracker.chunk_done(2)
         tracker.close()
-        for name in ("runtime.done_trials", "runtime.trials_per_s",
-                     "runtime.workers_busy", "runtime.worker_utilization"):
-            series = store.get(name)
-            assert series is not None, name
-            assert series.total > before.get(name, 0), name
-        done = [v for _, v in store.get("runtime.done_trials").points()]
-        assert done[-1] == 4.0
-        busy = [v for _, v in store.get("runtime.workers_busy").points()]
-        assert busy[-1] == 0.0
+        live = registry.rollups(names=list(names))
+        assert set(live) == set(names)
+        assert live["runtime.trials_done"]["last"] == 4.0
+        assert live["runtime.workers_busy"]["last"] == 0.0
+        # utilization is a histogram: one sample per rendered tick
+        assert live["runtime.worker_utilization"]["count"] == 4
+        assert live["runtime.worker_utilization"]["last"] == 0.0
 
     def test_serverless_run_never_imports_the_http_layer(self, monkeypatch):
         # the publish path must not drag http.server into plain runs; it

@@ -17,7 +17,7 @@ import pytest
 from repro.obs import blackbox
 from repro.obs.alerts import AlertEngine, builtin_rules
 from repro.obs.flightrec import get_recorder
-from repro.obs.timeseries import get_store
+from repro.obs.metrics import get_registry
 from repro.runtime import CellSpec, run_sweep
 from repro.runtime import faults, watchdog
 from repro.runtime.faults import HANG_CHUNK_ENV, parse_hang_spec
@@ -195,10 +195,10 @@ class TestStallRecovery:
         (event,) = get_recorder().snapshot(kind="runtime.watchdog")
         assert event["data"]["sweep"] == "wd"
         assert event["data"]["mode"] == "process"
-        # ...and into the time-series store, where the builtin critical
-        # rule declares it on the next evaluation pass
+        # ...and bumped the stall counter, which the builtin critical
+        # rule declares on the next evaluation pass
         engine = AlertEngine(builtin_rules())
-        transitions = engine.evaluate(get_store())
+        transitions = engine.evaluate(get_registry())
         stall = [t for t in transitions if t["rule"] == "runtime.watchdog_stall"]
         assert stall and stall[0]["status"] == "firing"
         assert stall[0]["severity"] == "critical"

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs import timeseries
+from repro.obs import metrics
 
 
 class TestParser:
@@ -26,6 +26,11 @@ class TestParser:
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate"])
         assert args.n_aps == 4 and args.arrival_rate is None
+
+    def test_alert_rules_are_builtin_only(self):
+        # the TOML overlay (--alerts FILE) is gone: rules are builtin_rules()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--alerts", "a.toml"])
 
 
 class TestCommands:
@@ -75,16 +80,16 @@ class TestCommands:
 
 
 @pytest.fixture
-def clean_store():
-    """Empty the process-global time-series store around a live-serve test.
+def clean_registry():
+    """Zero the process-global metrics registry around a live-serve test.
 
-    CLI runs publish into module-global rings with wall-clock timestamps;
+    The alert rules read the registry's histograms (wall-clock windows);
     without this, one test's injected sync fault would trip the §7.3
     budget rules of every later test in the same process.
     """
-    timeseries.reset()
-    yield timeseries.get_store()
-    timeseries.reset()
+    metrics.reset()
+    yield metrics.get_registry()
+    metrics.reset()
 
 
 class TestLiveTelemetry:
@@ -114,7 +119,7 @@ class TestLiveTelemetry:
         monkeypatch.setattr(TelemetryServer, "stop", probing_stop)
 
     def test_serve_port_exposes_live_endpoints_during_a_run(
-        self, clean_store, capsys, monkeypatch
+        self, clean_registry, capsys, monkeypatch
     ):
         from repro.obs.export import validate_openmetrics
 
@@ -127,12 +132,14 @@ class TestLiveTelemetry:
         )
         assert validate_openmetrics(probes["metrics"]) == []
         assert probes["content_type"].startswith("application/openmetrics-text")
-        # the sweep's progress publications reached the live store
-        assert "runtime.done_trials" in probes["timeseries"]["series"]
+        # the sweep's progress reached the live registry view
+        series = probes["timeseries"]["series"]
+        assert series["runtime.trials_done"]["last"] > 0
+        assert series["runtime.worker_utilization"]["count"] >= 1
         assert probes["alerts"]["firing"] == []
 
     def test_injected_sync_fault_fails_the_run_and_lands_in_the_ledger(
-        self, clean_store, tmp_path, capsys, monkeypatch
+        self, clean_registry, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_PHASE_SIGMA_SCALE", "40")
         code = main([
@@ -156,7 +163,7 @@ class TestLiveTelemetry:
         assert p95["value"] > p95["threshold"]
 
     def test_same_fault_without_fail_on_alert_still_exits_zero(
-        self, clean_store, capsys, monkeypatch
+        self, clean_registry, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_PHASE_SIGMA_SCALE", "40")
         assert main([
@@ -170,27 +177,26 @@ class TestLiveTelemetry:
         err = capsys.readouterr().err
         assert "serving live telemetry on http://127.0.0.1:" in err
 
-    def test_obs_watch_once_against_a_live_server(self, clean_store, capsys):
+    def test_obs_watch_once_against_a_live_server(self, clean_registry, capsys):
         from repro.obs.serve import TelemetryServer
 
-        clean_store.record("sim.err", 0.01)
-        server = TelemetryServer(port=0, store=clean_store).start()
+        clean_registry.histogram("sim.err").observe(0.01)
+        server = TelemetryServer(port=0).start()
         try:
             assert main(["obs", "watch", server.url, "--once"]) == 0
         finally:
             server.stop()
         assert "sim.err" in capsys.readouterr().out
 
-    def test_obs_watch_fail_on_alert_exit_code(self, clean_store, capsys):
+    def test_obs_watch_fail_on_alert_exit_code(self, clean_registry, capsys):
         from repro.obs.alerts import AlertEngine, AlertRule
         from repro.obs.serve import TelemetryServer
 
         engine = AlertEngine([AlertRule(
             name="test.err_budget", series="sim.err", threshold=0.05,
         )])
-        clean_store.record("sim.err", 0.2)
-        server = TelemetryServer(port=0, store=clean_store,
-                                 engine=engine).start()
+        clean_registry.histogram("sim.err").observe(0.2)
+        server = TelemetryServer(port=0, engine=engine).start()
         server.evaluate_once()
         try:
             assert main(["obs", "watch", server.url, "--once",
@@ -201,10 +207,10 @@ class TestLiveTelemetry:
     def test_obs_watch_unreachable_exits_one(self, capsys):
         assert main(["obs", "watch", "http://127.0.0.1:9", "--once"]) == 1
 
-    def test_obs_watch_events_streams_sse_lines(self, clean_store, capsys):
+    def test_obs_watch_events_streams_sse_lines(self, clean_registry, capsys):
         from repro.obs.serve import TelemetryServer
 
-        server = TelemetryServer(port=0, store=clean_store).start()
+        server = TelemetryServer(port=0).start()
         try:
             assert main(["obs", "watch", server.url, "--events",
                          "--max-events", "1"]) == 0
@@ -234,6 +240,10 @@ class TestBlackboxParser:
     def test_watch_events_flags(self):
         args = build_parser().parse_args(
             ["obs", "watch", "u", "--events", "--no-reconnect",
-             "--max-retries", "2", "--max-events", "5"])
+             "--max-events", "5"])
         assert args.events and args.no_reconnect
-        assert args.max_retries == 2 and args.max_events == 5
+        assert args.max_events == 5
+        # reconnect tuning is fixed (serve.STREAM_RETRIES), not a flag
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["obs", "watch", "u", "--events", "--max-retries", "2"])
