@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI smoke test for the watchdog + crash-forensics pipeline (ISSUE 9).
+"""CI smoke test for the watchdog + crash-forensics pipeline.
 
 Runs a quick figure sweep with a deliberately hung chunk
 (``REPRO_FAULT_HANG_CHUNK``) under a tight watchdog deadline
@@ -10,11 +10,14 @@ end-to-end:
   run still exits 0 because the abandoned chunk is re-run through the
   serial-retry path;
 * the stall leaves a ``runs/crash-<runid>/`` forensics bundle whose
-  manifest names the ``watchdog_stall`` reason;
-* ``repro obs blackbox list`` sees the bundle and ``repro obs blackbox
-  show --json`` round-trips it (flight-recorder records, all-thread
-  stacks and the last progress snapshot included);
-* the run's ledger record links the bundle as a critical alarm.
+  manifest (``bundle.json``) names the ``watchdog_stall`` reason and at
+  least one stalled chunk;
+* the bundle's own files hold the forensics, read straight from the
+  directory: a ``runtime.watchdog`` record in ``flightrec.json``, the
+  last progress tick in ``progress.json`` and the captured threads in
+  ``stacks.txt``;
+* the run's ledger record links the bundle (same ``bundle_id`` and
+  ``path``) as a critical alarm.
 
     python scripts/blackbox_smoke.py
 """
@@ -51,6 +54,51 @@ def run(args: list, env: dict | None = None) -> subprocess.CompletedProcess:
     )
 
 
+def read_json(path: Path):
+    return json.loads(path.read_text())
+
+
+def check_bundle(bundle: Path) -> list:
+    """Failures found in one bundle directory and its ledger linkage."""
+    failures = []
+    manifest = read_json(bundle / "bundle.json")
+    if manifest.get("reason") != "watchdog_stall":
+        failures.append(f"bundle reason {manifest.get('reason')!r}, "
+                        "want 'watchdog_stall'")
+    if manifest.get("detail", {}).get("stalled_chunks", 0) < 1:
+        failures.append("bundle detail records no stalled chunks")
+    print(f"bundle {bundle.name}: reason={manifest.get('reason')}, "
+          f"{len(manifest.get('files', []))} files")
+
+    records = read_json(bundle / "flightrec.json").get("records", [])
+    kinds = {r.get("kind") for r in records}
+    if "runtime.watchdog" not in kinds:
+        failures.append(f"bundle flight recorder has no runtime.watchdog "
+                        f"event: {sorted(k for k in kinds if k)}")
+    if "Current thread" not in (bundle / "stacks.txt").read_text():
+        failures.append("bundle stacks.txt captured no threads")
+    progress = (read_json(bundle / "progress.json") or {}).get("data") or {}
+    print(f"bundle run {manifest.get('run_id')}: {len(records)} flight "
+          f"records, last progress {progress.get('done_chunks')}/"
+          f"{progress.get('total_chunks')} chunks")
+
+    ledger = [json.loads(line) for line in
+              (RUNS_DIR / "ledger.jsonl").read_text().splitlines()
+              if line.strip()]
+    crash_alarms = [a for r in ledger for a in r.get("alarms", [])
+                    if a.get("kind") == "crash_bundle"]
+    if not crash_alarms:
+        failures.append("no ledger record links the crash bundle")
+    elif (crash_alarms[0].get("bundle_id"), crash_alarms[0].get("path")) != (
+        bundle.name, str(bundle)
+    ):
+        failures.append(f"ledger alarm names {crash_alarms[0]}, not the "
+                        f"bundle at {bundle}")
+    else:
+        print(f"ledger links the bundle: {crash_alarms[0]['bundle_id']}")
+    return failures
+
+
 def main() -> int:
     failures = []
     env = dict(os.environ)
@@ -76,56 +124,14 @@ def main() -> int:
         failures.append(f"want exactly 1 crash bundle, found "
                         f"{[b.name for b in bundles]}")
     else:
-        manifest = json.loads((bundles[0] / "bundle.json").read_text())
-        if manifest.get("reason") != "watchdog_stall":
-            failures.append(f"bundle reason {manifest.get('reason')!r}, "
-                            "want 'watchdog_stall'")
-        print(f"bundle {bundles[0].name}: reason={manifest.get('reason')}, "
-              f"{len(manifest.get('files', []))} files")
-
-    listing = run(["obs", "blackbox", "list", "--ledger", str(RUNS_DIR)])
-    if listing.returncode != 0 or "watchdog_stall" not in listing.stdout:
-        failures.append("`repro obs blackbox list` did not show the bundle")
-
-    show = run(["obs", "blackbox", "show", "--json",
-                "--ledger", str(RUNS_DIR)])
-    if show.returncode != 0:
-        failures.append(f"`repro obs blackbox show` exited {show.returncode}")
-    else:
-        doc = json.loads(show.stdout)
-        if doc.get("detail", {}).get("stalled_chunks", 0) < 1:
-            failures.append("bundle detail records no stalled chunks")
-        kinds = {r.get("kind") for r in doc.get("flightrec", {}).get("records", [])}
-        if "runtime.watchdog" not in kinds:
-            failures.append(f"bundle flight recorder has no runtime.watchdog "
-                            f"event: {sorted(k for k in kinds if k)}")
-        if "Current thread" not in doc.get("stacks", ""):
-            failures.append("bundle stacks.txt captured no threads")
-        progress = doc.get("progress") or {}
-        print(f"blackbox show: run {doc.get('run_id')}, "
-              f"{len(doc['flightrec']['records'])} flight records, "
-              f"last progress {((progress.get('data') or {}).get('done_chunks'))}"
-              f"/{((progress.get('data') or {}).get('total_chunks'))} chunks")
-
-        ledger_path = RUNS_DIR / "ledger.jsonl"
-        records = [json.loads(line) for line in
-                   ledger_path.read_text().splitlines() if line.strip()]
-        crash_alarms = [a for r in records for a in r.get("alarms", [])
-                        if a.get("kind") == "crash_bundle"]
-        if not crash_alarms:
-            failures.append("no ledger record links the crash bundle")
-        elif crash_alarms[0].get("bundle_id") != doc.get("bundle_id"):
-            failures.append("ledger alarm names a different bundle than "
-                            "`blackbox show` resolved")
-        else:
-            print(f"ledger links the bundle: {crash_alarms[0]['bundle_id']}")
+        failures += check_bundle(bundles[0])
 
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
         return 1
     print("blackbox smoke OK: stall declared, chunk recovered serially, "
-          "bundle round-trips")
+          "bundle written and linked")
     return 0
 
 

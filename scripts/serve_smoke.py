@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """CI smoke test for the live telemetry endpoint (``--serve-port``).
 
-Launches a quick figure sweep serving live telemetry, probes every
-endpoint *while the sweep is still running*, and asserts:
+Launches a quick traced figure sweep serving live telemetry, probes
+every endpoint *while the sweep is still running*, and asserts:
 
 * ``/metrics`` is valid OpenMetrics (HELP/TYPE metadata, ``# EOF``) per
   :func:`repro.obs.export.validate_openmetrics` — a python stand-in for
@@ -11,7 +11,8 @@ endpoint *while the sweep is still running*, and asserts:
   ``runtime.trials_done`` counter and the ``runtime.worker_utilization``
   histogram);
 * ``/alerts`` answers with the rule states;
-* ``/events`` delivers the ``hello`` frame and the sweep's events;
+* the sweep's progress reached a reader after the fact too: the
+  ``--trace`` JSONL holds its ``runtime.progress`` events;
 * the run shuts the server down cleanly and exits 0.
 
 The sweep is fig9 at half scale (a few seconds of wall clock) rather
@@ -26,12 +27,15 @@ run's stderr, so nothing races for a fixed port number.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.request
 
+from repro.obs.events import read_events
 from repro.obs.export import validate_openmetrics
 
 SWEEP = ["figure", "9", "--scale", "0.5", "--workers", "2"]
@@ -64,26 +68,6 @@ def probe(url: str, results: dict, key: str, proc: subprocess.Popen,
         time.sleep(0.02)
 
 
-def probe_sse(url: str, results: dict, proc: subprocess.Popen) -> None:
-    """Read SSE frames from ``/events`` until the server closes the stream."""
-    frames = []
-    try:
-        with urllib.request.urlopen(url, timeout=30.0) as resp:
-            results["sse.content_type"] = resp.headers["Content-Type"]
-            while True:
-                line = resp.readline().decode()
-                if not line:
-                    break  # clean shutdown closes the stream
-                if line.startswith("event: "):
-                    kind = line[len("event: "):].strip()
-                    data = resp.readline().decode()
-                    frames.append((kind, data[len("data: "):].strip()))
-    except OSError as exc:
-        if not frames:
-            results["sse.error"] = f"{url}: {exc}"
-    results["sse.frames"] = frames
-
-
 def progressed(body: str) -> bool:
     """True once ``/timeseries`` shows finished trials and a utilization sample."""
     series = json.loads(body)["series"]
@@ -93,7 +77,13 @@ def progressed(body: str) -> bool:
 
 
 def main() -> int:
-    cmd = [sys.executable, "-m", "repro", *SWEEP, "--serve-port", "0"]
+    with tempfile.TemporaryDirectory() as tmp:
+        return smoke(os.path.join(tmp, "trace.jsonl"))
+
+
+def smoke(trace_path: str) -> int:
+    cmd = [sys.executable, "-m", "repro", *SWEEP, "--serve-port", "0",
+           "--trace", trace_path]
     print("+", " ".join(cmd), flush=True)
     proc = subprocess.Popen(
         cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
@@ -119,7 +109,6 @@ def main() -> int:
     # probe every endpoint concurrently, starting inside the run's window
     results: dict = {}
     threads = [
-        threading.Thread(target=probe_sse, args=(url + "/events", results, proc)),
         threading.Thread(target=probe, args=(url + "/metrics", results, "metrics", proc)),
         threading.Thread(target=probe, args=(url + "/timeseries", results, "timeseries", proc),
                          kwargs={"until": progressed}),
@@ -166,16 +155,18 @@ def main() -> int:
         else:
             print(f"/alerts: {len(alerts['rules'])} rules, "
                   f"{len(alerts['firing'])} firing")
-    frames = results.get("sse.frames", [])
-    if not frames:
-        failures.append(results.get("sse.error", "/events: no SSE frame seen"))
+    try:
+        events = [r["name"] for r in read_events(trace_path)
+                  if r.get("type") == "event"]
+    except (OSError, ValueError) as exc:
+        failures.append(f"trace unreadable: {exc}")
     else:
-        kinds = [k for k, _ in frames]
-        print(f"/events: {len(frames)} SSE frames ({', '.join(sorted(set(kinds)))})")
-        if kinds[0] != "hello":
-            failures.append(f"/events: first frame was {kinds[0]!r}, not 'hello'")
-        if "runtime.progress" not in kinds:
-            failures.append(f"/events: no runtime.progress frame in {sorted(set(kinds))}")
+        n_progress = events.count("runtime.progress")
+        print(f"trace: {len(events)} events, {n_progress} runtime.progress")
+        if not n_progress:
+            failures.append(
+                f"trace: no runtime.progress event in {sorted(set(events))}"
+            )
     if code != 0:
         sys.stderr.write(drained)
         failures.append(f"run exited {code}, want 0 (clean shutdown)")

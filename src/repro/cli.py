@@ -5,7 +5,7 @@
     python -m repro simulate --n-aps 4 --duration 0.5
     python -m repro quickstart
     python -m repro report
-    python -m repro obs summarize out.jsonl
+    python -m repro obs profile out.jsonl --top 10
     python -m repro obs runs list
     python -m repro obs regress --baseline tests/data/regress_baseline.json
     python -m repro lint --format json
@@ -23,9 +23,13 @@ Run commands (``figure``/``ablation``/``simulate``/``quickstart``/
 ``report``) additionally append a :class:`repro.obs.ledger.RunRecord` —
 git sha, config hash, master seed, duration, headline metrics, alarms —
 to the run ledger (``runs/ledger.jsonl`` by default; ``--ledger DIR`` or
-``$REPRO_RUNS_DIR`` to relocate, ``--no-ledger`` to skip).  ``repro obs
-runs list/show/diff``, ``repro obs export`` and ``repro obs regress``
-query, render and gate on that history.
+``$REPRO_RUNS_DIR`` to relocate, ``--no-ledger`` to skip).
+
+``repro obs`` has three commands, one per question telemetry answers:
+``profile`` (where a traced run's time went), ``runs list/show/diff``
+(which claim moved between runs; ``runs show`` also links the crash
+bundle of a failed run) and ``regress`` (which claim left its committed
+baseline).
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ def _common_options() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--serve-port", type=int, default=None, metavar="PORT",
-        help="serve live telemetry (/metrics /timeseries /alerts /events) "
+        help="serve live telemetry (/metrics /timeseries /alerts) "
              "on 127.0.0.1:PORT while the command runs (0 = ephemeral port)",
     )
     group.add_argument(
@@ -185,28 +189,17 @@ def _add_obs_parser(subparsers, common) -> None:
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
-    s = obs_sub.add_parser(
-        "summarize", parents=[common],
-        help="aggregate a JSONL trace into a hot-span table",
-    )
-    s.add_argument("trace_file", help="path to a --trace JSONL output")
-    s.add_argument("--top", type=int, default=None, metavar="K",
-                   help="show only the K hottest spans")
-    s.add_argument("--sort", choices=("self", "total", "mean", "count"),
-                   default="self", help="ranking key (default: self time)")
-    s.add_argument("--name", metavar="GLOB", default=None,
-                   help="only spans/events matching this glob (e.g. 'phy.*')")
-
     pr = obs_sub.add_parser(
         "profile", parents=[common],
-        help="attribute sweep wall time (compute/dispatch/serialization/idle)",
+        help="where a traced run's time went: hot spans by self time and "
+             "per-sweep wall-time attribution",
     )
-    pr.add_argument("trace_file",
-                    help="path to a --trace JSONL output of a sweep run")
+    pr.add_argument("trace_file", help="path to a --trace JSONL output")
     pr.add_argument("--sweep", metavar="GLOB", default=None,
-                    help="only sweeps matching this glob (e.g. 'fig9*')")
-    pr.add_argument("--top", type=int, default=0, metavar="K",
-                    help="also print the K hottest spans")
+                    help="only sweeps matching this glob (e.g. 'fig9*'); "
+                         "exit 1 when none matches")
+    pr.add_argument("--top", type=int, default=None, metavar="K",
+                    help="show only the K hottest spans")
     pr.add_argument("--folded", metavar="FILE", default=None,
                     help="write folded flamegraph stacks to FILE "
                          "(flamegraph.pl input format)")
@@ -232,19 +225,6 @@ def _add_obs_parser(subparsers, common) -> None:
     rd.add_argument("new", nargs="?", default="latest",
                     help="run id, prefix, or 'latest' (default)")
 
-    e = obs_sub.add_parser(
-        "export", parents=[common],
-        help="render metrics as OpenMetrics text or tidy CSV",
-    )
-    e.add_argument("format", choices=("openmetrics", "csv"))
-    e.add_argument("--input", metavar="FILE", default=None,
-                   help="metrics snapshot JSON (a --metrics output); "
-                        "default: the run ledger")
-    e.add_argument("--command", dest="filter_command", default=None,
-                   metavar="CMD", help="only ledger runs of this command")
-    e.add_argument("-o", "--out", metavar="FILE", default=None,
-                   help="write to FILE instead of stdout")
-
     g = obs_sub.add_parser(
         "regress", parents=[common],
         help="compare headline metrics against a committed baseline",
@@ -258,57 +238,6 @@ def _add_obs_parser(subparsers, common) -> None:
                         "(id, prefix, or 'latest')")
     g.add_argument("--update-baseline", action="store_true",
                    help="write the current metrics to --baseline and exit")
-
-    sv = obs_sub.add_parser(
-        "serve", parents=[common],
-        help="serve live telemetry (OpenMetrics scrape + SSE stream)",
-    )
-    sv.add_argument("--port", type=int, default=9200,
-                    help="TCP port to bind (default 9200; 0 = ephemeral)")
-    sv.add_argument("--host", default="127.0.0.1",
-                    help="bind address (default 127.0.0.1)")
-    sv.add_argument("--duration", type=float, default=None, metavar="S",
-                    help="stop after S seconds (default: until interrupted)")
-
-    w = obs_sub.add_parser(
-        "watch", parents=[common],
-        help="tail a live telemetry endpoint as a terminal status table",
-    )
-    w.add_argument("url", help="endpoint base URL (e.g. http://127.0.0.1:9200)")
-    w.add_argument("--interval", type=float, default=1.0, metavar="S",
-                   help="seconds between refreshes (default 1.0)")
-    w.add_argument("--once", action="store_true",
-                   help="render a single frame and exit")
-    w.add_argument("--duration", type=float, default=None, metavar="S",
-                   help="stop watching after S seconds")
-    w.add_argument("--name", metavar="GLOB", default=None,
-                   help="only series matching this glob (e.g. 'runtime.*')")
-    w.add_argument("--events", action="store_true",
-                   help="tail the /events SSE stream as JSON lines instead "
-                        "of polling the status table")
-    w.add_argument("--no-reconnect", action="store_true",
-                   help="with --events: exit 1 on the first dropped "
-                        "connection instead of backing off and retrying")
-    w.add_argument("--max-events", type=int, default=None, metavar="N",
-                   help="with --events: exit 0 after N frames")
-
-    bb = obs_sub.add_parser(
-        "blackbox", parents=[common],
-        help="inspect crash-forensics bundles (runs/crash-<runid>/)",
-    )
-    bb_sub = bb.add_subparsers(dest="blackbox_command", required=True)
-    bb_sub.add_parser("list", parents=[common],
-                      help="tabulate crash bundles in the runs dir")
-    bshow = bb_sub.add_parser("show", parents=[common],
-                              help="print one bundle's forensics")
-    bshow.add_argument("bundle", nargs="?", default="latest",
-                       help="bundle id, run id, unambiguous prefix, or "
-                            "'latest' (default)")
-    bshow.add_argument("--records", type=int, default=10, metavar="K",
-                       help="flight-recorder records to show (default 10)")
-    bshow.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit the full bundle as JSON")
-
 
 
 def _add_lint_parser(subparsers, common) -> None:
@@ -560,51 +489,6 @@ def _run_obs_runs(args) -> int:
     return 0
 
 
-def _run_obs_export(args) -> int:
-    from repro.obs import export as X
-    from repro.obs.ledger import Ledger
-
-    if args.input:
-        try:
-            with open(args.input) as f:
-                snapshot = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            logger.error("cannot read metrics snapshot %s: %s", args.input, exc)
-            return 1
-        text = (
-            X.metrics_to_openmetrics(snapshot)
-            if args.format == "openmetrics"
-            else X.metrics_to_csv(snapshot)
-        )
-    else:
-        ledger = Ledger(args.ledger)
-        records = list(ledger.records(command=args.filter_command))
-        if not records:
-            logger.error("ledger %s has no matching runs", ledger.path)
-            return 1
-        if args.format == "csv":
-            text = X.ledger_to_csv(records)
-        else:
-            # OpenMetrics is a point-in-time format: expose the latest
-            # run's headline metrics as gauges.
-            latest = records[-1]
-            snapshot = {
-                name: {"type": "gauge", "value": value}
-                for name, value in latest.metrics.items()
-            }
-            snapshot["run_duration_s"] = {
-                "type": "gauge", "value": latest.duration_s,
-            }
-            text = X.metrics_to_openmetrics(snapshot)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-        logger.info("wrote %s export to %s", args.format, args.out)
-    else:
-        print(text, end="")
-    return 0
-
-
 def _run_obs_regress(args) -> int:
     from repro.obs import regress as R
     from repro.obs.ledger import Ledger
@@ -646,6 +530,7 @@ def _run_obs_regress(args) -> int:
 
 
 def _run_obs_profile(args) -> int:
+    from dataclasses import replace
     from fnmatch import fnmatchcase
 
     from repro.obs import profile as P
@@ -658,127 +543,39 @@ def _run_obs_profile(args) -> int:
     except ValueError as exc:  # includes JSONDecodeError
         logger.error("malformed trace %s: %s", args.trace_file, exc)
         return 1
-    attributions = prof.attributions
+    if not prof.spans:
+        logger.error("no span records in %s", args.trace_file)
+        return 1
     if args.sweep:
-        attributions = [a for a in attributions
-                        if fnmatchcase(a.sweep, args.sweep)]
+        prof = replace(prof, attributions=[
+            a for a in prof.attributions if fnmatchcase(a.sweep, args.sweep)
+        ])
+        if not prof.attributions:
+            logger.error(
+                "no sweep matching %r with dispatch records in %s — trace a "
+                "sweep-running command (e.g. `repro figure 9 --workers 4 "
+                "--trace out.jsonl`)", args.sweep, args.trace_file,
+            )
+            return 1
     if args.folded:
         lines = P.folded_stacks(prof.records)
         with open(args.folded, "w") as f:
             f.write("\n".join(lines) + ("\n" if lines else ""))
         logger.info("%d folded stacks written to %s", len(lines), args.folded)
     if args.as_json:
-        import json
-
-        print(json.dumps([a.to_dict() for a in attributions], indent=2))
+        print(json.dumps([a.to_dict() for a in prof.attributions], indent=2))
     else:
-        print(P.format_profile(
-            P.TraceProfile(records=prof.records, attributions=attributions,
-                           summary=prof.summary),
-            top_k=args.top,
-        ))
-    if not attributions:
-        logger.error(
-            "no sweep dispatch records in %s — trace a sweep-running command "
-            "(e.g. `repro figure 9 --workers 4 --trace out.jsonl`)",
-            args.trace_file,
-        )
-        return 1
-    return 0
-
-
-def _run_obs_serve(args) -> int:
-    from repro.obs.serve import TelemetryServer
-
-    try:
-        server = TelemetryServer(port=args.port, host=args.host).start()
-    except OSError as exc:
-        logger.error("cannot start telemetry server: %s", exc)
-        return 1
-    sys.stderr.write(
-        f"serving live telemetry on {server.url} (ctrl-c to stop)\n"
-    )
-    sys.stderr.flush()
-    try:
-        if args.duration is not None:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(3600.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
-def _run_obs_watch(args) -> int:
-    from repro.obs.serve import stream_events, watch
-
-    if args.events:
-        return stream_events(
-            args.url,
-            reconnect=not args.no_reconnect,
-            max_events=1 if args.once else args.max_events,
-            duration_s=args.duration,
-        )
-    return watch(
-        args.url,
-        interval_s=args.interval,
-        iterations=1 if args.once else None,
-        duration_s=args.duration,
-        fail_on_alert=args.fail_on_alert,
-        name=args.name,
-    )
-
-
-def _run_obs_blackbox(args) -> int:
-    from repro.obs import blackbox
-
-    if args.blackbox_command == "list":
-        print(blackbox.format_bundle_list(blackbox.list_bundles(args.ledger)))
-        return 0
-    # show
-    bundle = blackbox.load_bundle(args.bundle, runs_dir=args.ledger)
-    if bundle is None:
-        logger.error("no crash bundle matching %r", args.bundle)
-        return 1
-    if args.as_json:
-        print(json.dumps(bundle, indent=2, sort_keys=True))
-    else:
-        print(blackbox.format_bundle_show(bundle, records=args.records))
+        print(P.format_profile(prof, top_k=args.top))
     return 0
 
 
 def _run_obs(args) -> int:
-    if args.obs_command == "summarize":
-        from repro.obs.summary import format_table, summarize
-
-        try:
-            summary = summarize(args.trace_file)
-        except OSError as exc:
-            logger.error("cannot read trace: %s", exc)
-            return 1
-        except ValueError as exc:
-            logger.error("malformed trace %s: %s", args.trace_file, exc)
-            return 1
-        print(format_table(summary, top_k=args.top, sort=args.sort,
-                           name=args.name))
-        return 0
     if args.obs_command == "profile":
         return _run_obs_profile(args)
     if args.obs_command == "runs":
         return _run_obs_runs(args)
-    if args.obs_command == "export":
-        return _run_obs_export(args)
     if args.obs_command == "regress":
         return _run_obs_regress(args)
-    if args.obs_command == "serve":
-        return _run_obs_serve(args)
-    if args.obs_command == "watch":
-        return _run_obs_watch(args)
-    if args.obs_command == "blackbox":
-        return _run_obs_blackbox(args)
     return 2  # unreachable: argparse enforces the choices
 
 
@@ -877,7 +674,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _main(argv: Optional[List[str]]) -> int:
     argv_list = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(argv_list)
+    parser = build_parser()
+    args = parser.parse_args(argv_list)
+    if args.fail_on_alert and args.serve_port is None:
+        # without a server no alert engine runs, so the flag would be a
+        # silent pass
+        parser.error("--fail-on-alert requires --serve-port")
     setup_logging(verbosity=args.verbose - args.quiet)
     if args.trace:
         try:

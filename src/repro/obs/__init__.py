@@ -11,20 +11,24 @@ Two stores, read by everything else (see ``docs/observability.md``):
 * **Event ring** (:mod:`repro.obs.flightrec`): every run-level event —
   chunk, progress tick, watchdog stall, alert transition — enters through
   one call, :func:`emit`, which keeps it in the always-on flight
-  recorder (dumped into crash bundles, :mod:`repro.obs.blackbox`),
-  writes it to the JSONL trace when a sink is open and hands it to the
-  ``/events`` SSE subscribers when any exist.
+  recorder (dumped into crash bundles, :mod:`repro.obs.blackbox`) and
+  writes it to the JSONL trace when a sink is open.
 
 Around them: the span **tracer** (:mod:`repro.obs.tracer`, free until a
 sink is configured; per-worker shards merged by :mod:`repro.obs.shards`),
 **logging** to stderr (:mod:`repro.obs.logging`), the **run ledger**
 (:mod:`repro.obs.ledger` + :mod:`repro.obs.provenance`), sweep
-**progress** (:mod:`repro.obs.progress`), **export** to OpenMetrics/CSV
-(:mod:`repro.obs.export`), **regression** checks and the §7.3 sync-health
-monitor (:mod:`repro.obs.regress`), the attribution **profiler**
-(:mod:`repro.obs.profile`) and the live HTTP endpoint
-(:mod:`repro.obs.serve`, deliberately not imported here so runs without
-a server never load the HTTP layer).
+**progress** (:mod:`repro.obs.progress`), **regression** checks and the
+§7.3 sync-health monitor (:mod:`repro.obs.regress`), the trace
+**profiler** (:mod:`repro.obs.profile`: hot spans by self time and
+per-sweep attribution) and the live HTTP endpoint behind
+``--serve-port`` (:mod:`repro.obs.serve` + :mod:`repro.obs.alerts`,
+OpenMetrics via :mod:`repro.obs.export`; deliberately not imported here
+so runs without a server never load the HTTP layer).
+
+The CLI's ``repro obs`` answers three questions from these stores:
+``profile`` (where the time goes), ``runs`` and ``regress`` (which claim
+moved); why a run failed is its crash bundle, linked from ``runs show``.
 
 Typical CLI wiring::
 
@@ -39,21 +43,14 @@ Typical CLI wiring::
 
 from repro.obs import metrics, shards
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.blackbox import (
-    list_bundles,
-    load_bundle,
-    set_run_context,
-    signal_guard,
-    write_crash_bundle,
-)
-from repro.obs.events import SCHEMA_VERSION, format_sse, iter_events, read_events
+from repro.obs.blackbox import set_run_context, signal_guard, write_crash_bundle
+from repro.obs.events import SCHEMA_VERSION, iter_events, read_events
 from repro.obs.flightrec import FlightRecorder, emit, get_recorder
 from repro.obs.ledger import Ledger, RunRecord, default_runs_dir, new_run_id
 from repro.obs.logging import get_logger, setup_logging
 from repro.obs.metrics import MetricsRegistry, Timer, get_registry
 from repro.obs.progress import SweepProgress
 from repro.obs.shards import merge_shards
-from repro.obs.summary import TraceSummary, format_table, summarize
 from repro.obs.tracer import NULL_SPAN, Span, Tracer, trace, traced
 
 __all__ = [
@@ -68,18 +65,13 @@ __all__ = [
     "Span",
     "SweepProgress",
     "Timer",
-    "TraceSummary",
     "Tracer",
     "default_runs_dir",
     "emit",
-    "format_sse",
-    "format_table",
     "get_logger",
     "get_recorder",
     "get_registry",
     "iter_events",
-    "list_bundles",
-    "load_bundle",
     "merge_shards",
     "metrics",
     "new_run_id",
@@ -88,7 +80,6 @@ __all__ = [
     "setup_logging",
     "shards",
     "signal_guard",
-    "summarize",
     "trace",
     "traced",
     "write_crash_bundle",

@@ -30,7 +30,7 @@ Two anti-flap mechanisms, both opt-in per rule:
 
 :class:`AlertEngine` owns the rule set and the ok/pending/firing state
 machine; every transition becomes one ``obs.alert`` event (flight
-recorder, trace and SSE, see :func:`repro.obs.flightrec.emit`) and a
+recorder and trace, see :func:`repro.obs.flightrec.emit`) and a
 logger line.
 """
 
@@ -199,8 +199,8 @@ class AlertEngine:
 
         Each transition dict carries ``rule``/``series``/``status`` (the
         new state), ``previous``, the triggering ``value`` and the rule's
-        threshold/severity — the exact payload the SSE ``alert`` frames
-        and ledger alarms are built from.
+        threshold/severity — the exact payload of the ``obs.alert`` events,
+        and what ledger alarms are built from.
         """
         if now is None:
             now = time.time()

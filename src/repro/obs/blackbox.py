@@ -24,8 +24,8 @@ and from any thread — the watchdog monitor writes one while the main
 thread is still hung, which is the whole black-box point.  Each bundle
 is also queued on a process-global list; the CLI drains that list into
 the run's ledger alarms so ``repro obs runs show`` links to the bundle.
-
-``repro obs blackbox list/show`` inspect bundles after the fact.
+Every file is plain JSON or text: read a bundle straight from its
+directory.
 """
 
 from __future__ import annotations
@@ -279,142 +279,3 @@ class signal_guard:
             except (ValueError, TypeError):
                 pass  # repro: noqa[OBS005] — restoring outside the main thread
         self._previous = {}
-
-
-# ---------------------------------------------------------------------------
-# Inspection: ``repro obs blackbox list/show``
-# ---------------------------------------------------------------------------
-
-
-def list_bundles(runs_dir: Union[str, Path, None] = None) -> List[Dict[str, Any]]:
-    """Manifests of every bundle under the runs dir, oldest first."""
-    base = Path(runs_dir) if runs_dir is not None else default_runs_dir()
-    if not base.is_dir():
-        return []
-    out = []
-    for path in sorted(base.iterdir()):
-        if not (path.is_dir() and path.name.startswith(BUNDLE_PREFIX)):
-            continue
-        manifest_path = path / "bundle.json"
-        try:
-            with open(manifest_path) as f:
-                manifest = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            logger.warning("skipping unreadable bundle %s: %s", path, exc)
-            continue
-        manifest["path"] = str(path)
-        out.append(manifest)
-    out.sort(key=lambda m: m.get("ts") or 0.0)
-    return out
-
-
-def load_bundle(
-    token: str, runs_dir: Union[str, Path, None] = None
-) -> Optional[Dict[str, Any]]:
-    """One bundle's manifest + parsed contents, by id/run-id/'latest'.
-
-    ``token`` matches the bundle directory name, its run id, an
-    unambiguous prefix of either, or ``latest``.  Returns None when
-    nothing matches (or the match is ambiguous, which is logged).
-    """
-    bundles = list_bundles(runs_dir)
-    if not bundles:
-        return None
-    if token == "latest":
-        matches = [bundles[-1]]
-    else:
-        matches = [
-            m for m in bundles
-            if token in (m.get("bundle_id"), m.get("run_id"))
-        ] or [
-            m for m in bundles
-            if str(m.get("bundle_id", "")).startswith(token)
-            or str(m.get("run_id", "")).startswith(token)
-        ]
-    if not matches:
-        return None
-    if len(matches) > 1:
-        logger.error(
-            "bundle token %r is ambiguous: %s", token,
-            ", ".join(str(m.get("bundle_id")) for m in matches),
-        )
-        return None
-    manifest = dict(matches[-1])
-    bundle = Path(manifest["path"])
-    for name in ("flightrec.json", "progress.json", "environment.json"):
-        path = bundle / name
-        if path.exists():
-            with open(path) as f:
-                manifest[name.rsplit(".", 1)[0]] = json.load(f)
-    stacks = bundle / "stacks.txt"
-    if stacks.exists():
-        manifest["stacks"] = stacks.read_text()
-    return manifest
-
-
-def format_bundle_list(bundles: List[Dict[str, Any]]) -> str:
-    """The ``repro obs blackbox list`` table."""
-    if not bundles:
-        return "no crash bundles"
-    lines = [
-        f"{'bundle':<32} {'when (UTC)':<16} {'reason':<20} "
-        f"{'command':<10} error"
-    ]
-    for m in bundles:
-        when = time.strftime("%m-%d %H:%M:%S", time.gmtime(m.get("ts") or 0))
-        err = m.get("error") or {}
-        err_cell = f"{err.get('type')}: {err.get('message')}" if err else "-"
-        if len(err_cell) > 40:
-            err_cell = err_cell[:39] + "…"
-        lines.append(
-            f"{m.get('bundle_id', '?'):<32} {when:<16} "
-            f"{m.get('reason', '?'):<20} {str(m.get('command') or '-'):<10} "
-            f"{err_cell}"
-        )
-    return "\n".join(lines)
-
-
-def format_bundle_show(bundle: Dict[str, Any], records: int = 10) -> str:
-    """The ``repro obs blackbox show`` rendering."""
-    lines = [f"bundle {bundle.get('bundle_id')} ({bundle.get('path')})"]
-    for key in ("run_id", "reason", "ts", "command", "pid"):
-        lines.append(f"  {key}: {bundle.get(key)}")
-    err = bundle.get("error")
-    if err:
-        lines.append(f"  error: {err.get('type')}: {err.get('message')}")
-    detail = bundle.get("detail") or {}
-    for key, value in sorted(detail.items()):
-        lines.append(f"  detail.{key}: {value}")
-    prov = bundle.get("provenance") or {}
-    lines.append(
-        f"  provenance: sha={prov.get('git_sha')} "
-        f"config_hash={prov.get('config_hash')}"
-    )
-    progress = bundle.get("progress")
-    if progress:
-        data = progress.get("data", progress)
-        lines.append(
-            f"  last progress: {data.get('done_chunks')}/"
-            f"{data.get('total_chunks')} chunks, "
-            f"{data.get('done_trials')}/{data.get('total_trials')} trials, "
-            f"retries {data.get('retries')}"
-        )
-    rec = bundle.get("flightrec") or {}
-    tail = (rec.get("records") or [])[-max(records, 0):]
-    lines.append(
-        f"  flight recorder: {rec.get('total', 0)} recorded, "
-        f"{rec.get('dropped', 0)} evicted, showing last {len(tail)}"
-    )
-    for r in tail:
-        when = time.strftime("%H:%M:%S", time.gmtime(r.get("ts") or 0))
-        data = r.get("data") or {}
-        keys = ", ".join(
-            f"{k}={data[k]}" for k in sorted(data)[:4]
-        )
-        lines.append(f"    {when} {r.get('kind')}  {keys}")
-    if bundle.get("stacks"):
-        n_threads = bundle["stacks"].count("Thread 0x") + (
-            1 if "Current thread" in bundle["stacks"] else 0
-        )
-        lines.append(f"  stacks.txt: {n_threads} thread(s) captured")
-    return "\n".join(lines)

@@ -51,18 +51,6 @@ def jsonable(obj):
     return repr(obj)
 
 
-def format_sse(kind: str, payload: dict) -> str:
-    """Render one Server-Sent-Events frame for the live telemetry stream.
-
-    The payload goes through :func:`jsonable` like every trace record, so
-    SSE consumers and trace readers see the same value folding.  Frames
-    are ``event: <kind>`` + a single ``data:`` line (JSON never contains
-    raw newlines) + the blank-line terminator.
-    """
-    data = json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":"))
-    return f"event: {kind}\ndata: {data}\n\n"
-
-
 class JsonlWriter:
     """Appends one JSON object per line to a file or file-like sink."""
 
@@ -75,8 +63,8 @@ class JsonlWriter:
             self._owns = False
 
     def write(self, record: dict) -> None:
-        # One write() call per record: concurrent writers (the thread
-        # backend traces from multiple threads into one sink) must never
+        # One write() call per record: concurrent writers (the engine,
+        # watchdog and alert-evaluator threads share one sink) must never
         # interleave a record with another record's newline.
         self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
 

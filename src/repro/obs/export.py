@@ -1,30 +1,19 @@
-"""Metric export: OpenMetrics text and tidy CSV time series.
+"""OpenMetrics text: the ``/metrics`` rendering and its validator.
 
-Two consumers, two shapes:
-
-* **Scrapers/dashboards** want the *current* state of one run in the
-  OpenMetrics text format — :func:`metrics_to_openmetrics` renders a
-  metrics-registry snapshot (live registry, ``to_dict()`` output, or a
-  ``--metrics`` JSON file) with counters as ``_total``, gauges verbatim
-  and histograms as summaries with ``quantile`` labels.
-* **Plots/notebooks** want *history* as a tidy (long-form) table —
-  :func:`ledger_to_csv` flattens a ledger slice to one
-  ``(run, metric, value)`` row per headline metric, and
-  :func:`metrics_to_csv` does the same for a single snapshot.
-
-Everything is pure string rendering over plain dicts: no network, no
-third-party dependencies, so the exporters work anywhere the ledger does.
+:func:`metrics_to_openmetrics` renders a metrics-registry snapshot (the
+live registry, its ``to_dict()`` output, or a ``--metrics`` JSON file)
+with counters as ``_total``, gauges verbatim and histograms as summaries
+with ``quantile`` labels.  :func:`validate_openmetrics` is the
+``promtool check metrics`` stand-in the tests and the serve smoke use as
+the oracle for ``/metrics``.  Pure string work over plain dicts: no
+network, no third-party dependencies.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import re
-import time
-from typing import Dict, Iterable, Union
+from typing import Dict, Union
 
-from repro.obs.ledger import RunRecord
 from repro.obs.metrics import MetricsRegistry
 
 #: Histogram percentiles rendered as OpenMetrics summary quantiles.
@@ -180,62 +169,3 @@ def validate_openmetrics(text: str) -> list:
     if not eof_seen:
         problems.append("no '# EOF' terminator found")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Tidy CSV
-# ---------------------------------------------------------------------------
-
-#: Column order of the tidy ledger export.
-LEDGER_CSV_FIELDS = (
-    "run_id", "ts", "iso_time", "command", "git_sha", "config_hash",
-    "master_seed", "status", "duration_s", "metric", "value",
-)
-
-
-def ledger_to_csv(records: Iterable[RunRecord]) -> str:
-    """Flatten ledger records to a tidy CSV time series.
-
-    One row per ``(run, headline metric)``; runs without headline metrics
-    still contribute one row with ``metric=duration_s`` so wall-time
-    trends always plot.  Columns: :data:`LEDGER_CSV_FIELDS`.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LEDGER_CSV_FIELDS)
-    for r in records:
-        base = [
-            r.run_id,
-            f"{r.ts:.3f}",
-            time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(r.ts)),
-            r.command,
-            r.git_sha or "",
-            r.config_hash or "",
-            "" if r.master_seed is None else r.master_seed,
-            r.status,
-            f"{r.duration_s:.4f}",
-        ]
-        rows = sorted(r.metrics.items()) or [("duration_s", r.duration_s)]
-        for metric, value in rows:
-            writer.writerow(base + [metric, value])
-    return buf.getvalue()
-
-
-def metrics_to_csv(source: Union[MetricsRegistry, Dict[str, dict]]) -> str:
-    """Flatten one metrics snapshot to tidy ``metric,field,value`` rows.
-
-    Histograms contribute one row per statistic (count/mean/min/max/p*);
-    counters and gauges one ``value`` row each.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("metric", "type", "field", "value"))
-    snapshot = _snapshot(source)
-    for name in sorted(snapshot):
-        data = dict(snapshot[name])
-        kind = data.pop("type", "?")
-        for field in sorted(data):
-            if data[field] is None:
-                continue
-            writer.writerow((name, kind, field, data[field]))
-    return buf.getvalue()

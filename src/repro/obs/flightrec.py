@@ -1,4 +1,4 @@
-"""The event ring: one call that feeds the flight recorder, the trace and SSE.
+"""The event ring: one call that feeds the flight recorder and the trace.
 
 Numbers live in the metrics registry (:mod:`repro.obs.metrics`); *events*
 — a finished chunk, a progress tick, a watchdog stall, an alert
@@ -9,28 +9,24 @@ transition — live here.  :meth:`FlightRecorder.record` (module-level
   black-box flight recorder that crash bundles dump to
   ``runs/crash-<runid>/flightrec.json``, see :mod:`repro.obs.blackbox`);
 * writes the same event as a JSONL ``event`` record while a trace sink
-  is open (:mod:`repro.obs.tracer`);
-* hands ``(kind, data)`` to the SSE subscribers of ``/events``
-  (:mod:`repro.obs.serve`) when any exist.
+  is open (:mod:`repro.obs.tracer`).
 
 Appends are a lock + ``deque.append`` — the same "negligible until you
 need it" bar the null tracer holds (<5% overhead, enforced by
 ``tests/obs/test_flightrec.py``).  ``REPRO_FLIGHTREC=0`` switches the
-ring off; the trace and SSE still get their events.
+ring off; the trace still gets its events.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Union
 
-from repro.obs.metrics import counter
 from repro.obs.tracer import Tracer, trace
 
 #: Records retained in the ring (oldest evicted first).
@@ -42,32 +38,22 @@ ENABLE_ENV = "REPRO_FLIGHTREC"
 #: Version stamped into dumps; bump on breaking record-shape changes.
 DUMP_SCHEMA = 1
 
-#: Frames one SSE subscriber may fall behind before its frames are dropped.
-SUBSCRIBER_QUEUE_SIZE = 256
-
-#: Counter of frames dropped because a subscriber queue was full, so a
-#: slow SSE client is *visible* on ``/metrics`` and ``/timeseries``.
-EVENTS_DROPPED = "obs.events.dropped"
-
-Frame = Tuple[str, dict]
-
 
 def _env_enabled() -> bool:
     return os.environ.get(ENABLE_ENV, "").strip() != "0"
 
 
 class FlightRecorder:
-    """Bounded ring of recent ``(ts, kind, data)`` events, plus their fan-out.
+    """Bounded ring of recent ``(ts, kind, data)`` events.
 
-    Thread-safe: producers record from the engine, watchdog, evaluator
-    and HTTP threads concurrently.  ``total`` counts every record the ring
-    ever accepted (``dropped = total - len(ring)``).  ``tracer`` is the
-    trace each event is also written to (the global recorder uses the
+    Thread-safe: producers record from the engine, watchdog and evaluator
+    threads concurrently.  ``total`` counts every record the ring ever
+    accepted (the dump's ``dropped = total - len(ring)``).  ``tracer`` is
+    the trace each event is also written to (the global recorder uses the
     global tracer).
     """
 
-    __slots__ = ("capacity", "enabled", "tracer", "total", "_ring", "_lock",
-                 "_subscribers")
+    __slots__ = ("capacity", "enabled", "tracer", "total", "_ring", "_lock")
 
     def __init__(
         self,
@@ -83,7 +69,6 @@ class FlightRecorder:
         self.total = 0
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
-        self._subscribers: List["queue.Queue[Frame]"] = []
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -96,7 +81,7 @@ class FlightRecorder:
         data: Optional[dict] = None,
         ts: Optional[float] = None,
     ) -> None:
-        """Publish one event to the ring, the open trace and SSE subscribers."""
+        """Publish one event to the ring and the open trace."""
         if ts is None:
             ts = time.time()
         if self.enabled:
@@ -108,46 +93,8 @@ class FlightRecorder:
                 self.total += 1
         if self.tracer is not None:
             self.tracer.write_event(kind, data, ts=ts)
-        if self._subscribers:
-            self._publish(kind, data or {})
-
-    def _publish(self, kind: str, data: dict) -> None:
-        with self._lock:
-            subscribers = list(self._subscribers)
-        dropped = 0
-        for q in subscribers:
-            try:
-                q.put_nowait((kind, dict(data)))
-            except queue.Full:
-                dropped += 1
-        if dropped:
-            counter(EVENTS_DROPPED).inc(dropped)
-
-    # -- SSE subscriptions -----------------------------------------------------
-
-    def subscribe(self, maxsize: int = SUBSCRIBER_QUEUE_SIZE) -> "queue.Queue[Frame]":
-        """A bounded queue receiving every later event as ``(kind, data)``.
-
-        A full queue drops the frame for that subscriber (a slow SSE
-        client must not stall the sweep) and counts it on the
-        :data:`EVENTS_DROPPED` counter.
-        """
-        q: "queue.Queue[Frame]" = queue.Queue(maxsize=maxsize)
-        with self._lock:
-            self._subscribers.append(q)
-        return q
-
-    def unsubscribe(self, q: "queue.Queue[Frame]") -> None:
-        with self._lock:
-            if q in self._subscribers:
-                self._subscribers.remove(q)
 
     # -- reading ---------------------------------------------------------------
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted from the ring so far."""
-        return self.total - len(self._ring)
 
     def snapshot(self, kind: Optional[str] = None) -> List[Dict[str, Any]]:
         """Copies of the retained records, oldest first."""

@@ -1,13 +1,13 @@
 """Run ledger: an append-only JSONL history of every experiment run.
 
-PR 1 made a single run observable (traces + metrics); the ledger makes
-runs *longitudinal*.  Every CLI/sweep invocation appends one
+A trace and a metrics snapshot describe one run; the ledger makes runs
+*longitudinal*.  Every CLI/sweep invocation appends one
 :class:`RunRecord` — run id, git sha, config hash, master seed, platform,
 duration, headline metrics, artifact paths, alarms — to
 ``<runs_dir>/ledger.jsonl``.  ``repro obs runs list/show/diff`` queries
-it, :mod:`repro.obs.regress` compares records against a committed
-baseline, and :mod:`repro.obs.export` renders ledger slices to
-OpenMetrics/CSV.
+it (``runs show`` links a failed run's crash bundle through its alarms)
+and :mod:`repro.obs.regress` compares records against a committed
+baseline.
 
 The file format is deliberately boring: one self-contained JSON object
 per line, append-only, truncation-safe (a half-written trailing line is

@@ -1,11 +1,20 @@
-"""Performance-attribution profiler over (merged) JSONL traces.
+"""Trace profiler: where a run's wall clock went.
 
-Answers *where the wall-clock went* for a parallel sweep.  The engine
-records one ``runtime.chunk`` event per completed work item (parented to
-its ``runtime.sweep`` span), carrying the dispatch-overhead envelope:
-submit/receive/done timestamps, worker wall/CPU compute, and task/result
-serialization bytes and seconds.  :func:`attribute_chunks` folds those into
-a per-worker decomposition
+``repro obs profile TRACE`` reads one JSONL trace (merged worker shards
+included) and answers with two views of the same records:
+
+**Hot spans.**  Per span name: count, total/self/mean/max wall time, CPU
+time and errors, ranked by **self time** — a span's wall time minus its
+direct children's wall time.  A ``joint_tx`` span is long, but the time
+lives in its ``ofdm_mod``/``precoding``/``channel_apply`` children, so
+self time is what ranks hot *stages*.  Every trace with span records gets
+this table.
+
+**Per-sweep attribution.**  The engine records one ``runtime.chunk``
+event per completed work item (parented to its ``runtime.sweep`` span),
+carrying the dispatch-overhead envelope: submit/receive/done timestamps,
+worker wall/CPU compute, and task/result serialization bytes and seconds.
+:func:`attribute_chunks` folds those into a per-worker decomposition
 
     wall = compute + dispatch + serialization + idle
 
@@ -27,8 +36,7 @@ clamped remainder of the worker's window):
 Queue wait (submit to worker receipt) overlaps other chunks' compute on a
 busy pool, so it is reported alongside — not inside — the decomposition.
 
-:func:`profile_trace` runs the attribution for every sweep in a trace and
-bundles the ordinary hot-span summary; :func:`folded_stacks` renders the
+:func:`profile_trace` builds both views; :func:`folded_stacks` renders the
 span tree as folded flamegraph lines (``a;b;c <self-time-us>``), ready for
 ``flamegraph.pl`` or any compatible viewer.
 """
@@ -36,10 +44,9 @@ span tree as folded flamegraph lines (``a;b;c <self-time-us>``), ready for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.events import read_events
-from repro.obs.summary import TraceSummary, summarize
 
 #: Span name the engine wraps every sweep in.
 SWEEP_SPAN = "runtime.sweep"
@@ -221,20 +228,53 @@ def attribute_chunks(
 
 
 @dataclass
+class SpanStats:
+    """Aggregated timings for one span name."""
+
+    name: str
+    count: int = 0
+    total_wall_s: float = 0.0
+    total_cpu_s: float = 0.0
+    total_self_s: float = 0.0
+    max_wall_s: float = 0.0
+    errors: int = 0
+
+    @property
+    def mean_wall_s(self) -> float:
+        return self.total_wall_s / self.count if self.count else float("nan")
+
+
+@dataclass
 class TraceProfile:
-    """Everything the profiler extracts from one trace file."""
+    """Everything the profiler extracts from one trace."""
 
     records: List[Dict[str, Any]]
     attributions: List[SweepAttribution]
-    summary: TraceSummary
+    spans: Dict[str, SpanStats] = field(default_factory=dict)
+    events: Dict[str, int] = field(default_factory=dict)
+    root_wall_s: float = 0.0  # sum of root-span wall time
 
 
-def profile_trace(source: Union[str, Iterable[Dict[str, Any]]]) -> TraceProfile:
-    """Profile a trace: per-sweep attribution plus the hot-span summary."""
-    if isinstance(source, str):
-        records = read_events(source)
-    else:
-        records = list(source)
+def _self_times(
+    records: Iterable[Dict[str, Any]],
+) -> List[Tuple[Dict[str, Any], float]]:
+    """Each span record with its self time (wall minus direct children)."""
+    spans = [r for r in records if r.get("type") == "span"]
+    child_wall: Dict[Any, float] = {}
+    for rec in spans:
+        parent = rec.get("parent_id")
+        if parent is not None:
+            child_wall[parent] = (
+                child_wall.get(parent, 0.0) + float(rec.get("wall_s", 0.0))
+            )
+    return [
+        (rec, max(float(rec.get("wall_s", 0.0))
+                  - child_wall.get(rec.get("span_id"), 0.0), 0.0))
+        for rec in spans
+    ]
+
+
+def _sweep_attributions(records: List[Dict[str, Any]]) -> List[SweepAttribution]:
     chunk_events: Dict[Any, List[Dict[str, Any]]] = {}
     for rec in records:
         if rec.get("type") == "event" and rec.get("name") == CHUNK_EVENT:
@@ -251,18 +291,10 @@ def profile_trace(source: Union[str, Iterable[Dict[str, Any]]]) -> TraceProfile:
             # A sweep span without chunk envelopes is an instrumentation
             # regression — unless the span itself says every chunk was
             # loaded from the checkpoint (a fully-resumed run legitimately
-            # dispatches nothing).  Emit an empty attribution for the
-            # latter so `repro obs profile` renders it instead of exiting 1.
+            # dispatches nothing), which gets an empty attribution.
             resumed = attrs.get("resumed")
-            if resumed is not None and int(resumed) == int(attrs.get("chunks", -1)):
-                attributions.append(attribute_chunks(
-                    [],
-                    wall_s=float(rec.get("wall_s", 0.0)),
-                    workers=int(attrs.get("workers", 1)),
-                    start_ts=float(rec.get("ts", 0.0)),
-                    sweep=str(attrs.get("sweep", "?")),
-                ))
-            continue
+            if resumed is None or int(resumed) != int(attrs.get("chunks", -1)):
+                continue
         # The span record's ts is its *entry* time; wall_s its duration.
         attributions.append(attribute_chunks(
             chunks,
@@ -271,11 +303,42 @@ def profile_trace(source: Union[str, Iterable[Dict[str, Any]]]) -> TraceProfile:
             start_ts=float(rec.get("ts", 0.0)),
             sweep=str(attrs.get("sweep", "?")),
         ))
-    return TraceProfile(
-        records=records,
-        attributions=attributions,
-        summary=summarize(records),
-    )
+    return attributions
+
+
+def profile_trace(source: Union[str, Iterable[Dict[str, Any]]]) -> TraceProfile:
+    """Profile a trace (path or records): hot spans plus sweep attribution.
+
+    Raises ``OSError`` for an unreadable file and ``ValueError`` for a
+    malformed one (a line that is not JSON, or a record that is not a
+    JSON object).
+    """
+    records = read_events(source) if isinstance(source, str) else list(source)
+    for i, rec in enumerate(records, start=1):
+        if not isinstance(rec, dict):
+            raise ValueError(f"record {i} is not a JSON object: {rec!r}")
+    profile = TraceProfile(records=records,
+                           attributions=_sweep_attributions(records))
+    for rec in records:
+        if rec.get("type") == "event":
+            name = rec.get("name", "?")
+            profile.events[name] = profile.events.get(name, 0) + 1
+    for rec, self_s in _self_times(records):
+        name = rec.get("name", "?")
+        wall = float(rec.get("wall_s", 0.0))
+        stats = profile.spans.get(name)
+        if stats is None:
+            stats = profile.spans[name] = SpanStats(name=name)
+        stats.count += 1
+        stats.total_wall_s += wall
+        stats.total_cpu_s += float(rec.get("cpu_s", 0.0))
+        stats.total_self_s += self_s
+        stats.max_wall_s = max(stats.max_wall_s, wall)
+        if "error" in rec:
+            stats.errors += 1
+        if rec.get("parent_id") is None:
+            profile.root_wall_s += wall
+    return profile
 
 
 def folded_stacks(
@@ -289,26 +352,10 @@ def folded_stacks(
     shard merger keeps ids unique and parent links intact, so worker spans
     fold under the sweep span that launched them.
     """
-    spans: Dict[Any, Dict[str, Any]] = {}
-    order: List[Dict[str, Any]] = []
-    child_wall: Dict[Any, float] = {}
-    for rec in records:
-        if rec.get("type") != "span":
-            continue
-        spans[rec.get("span_id")] = rec
-        order.append(rec)
-        parent = rec.get("parent_id")
-        if parent is not None:
-            child_wall[parent] = (
-                child_wall.get(parent, 0.0) + float(rec.get("wall_s", 0.0))
-            )
+    timed = _self_times(records)
+    spans = {rec.get("span_id"): rec for rec, _ in timed}
     agg: Dict[str, float] = {}
-    for rec in order:
-        self_s = max(
-            float(rec.get("wall_s", 0.0))
-            - child_wall.get(rec.get("span_id"), 0.0),
-            0.0,
-        )
+    for rec, self_s in timed:
         parts = [str(rec.get("name", "?"))]
         parent_id = rec.get("parent_id")
         hops = 0
@@ -365,13 +412,37 @@ def format_attribution(attribution: SweepAttribution) -> str:
     return "\n".join(lines)
 
 
-def format_profile(profile: TraceProfile, top_k: int = 0) -> str:
-    """Render every sweep attribution (plus, optionally, the span table)."""
-    from repro.obs.summary import format_table
+def format_spans(profile: TraceProfile, top_k: Optional[int] = None) -> str:
+    """The hot-span table (plus event counts), ranked by self time."""
+    lines = [
+        f"{'span':<28} {'count':>7} {'total(ms)':>10} {'self(ms)':>10} "
+        f"{'mean(ms)':>9} {'max(ms)':>9} {'cpu(ms)':>9} {'err':>4}"
+    ]
+    ranked = sorted(profile.spans.values(), key=lambda s: s.total_self_s,
+                    reverse=True)
+    for s in ranked[:top_k]:
+        lines.append(
+            f"{s.name:<28} {s.count:>7d} {s.total_wall_s * 1e3:>10.2f} "
+            f"{s.total_self_s * 1e3:>10.2f} {s.mean_wall_s * 1e3:>9.3f} "
+            f"{s.max_wall_s * 1e3:>9.3f} {s.total_cpu_s * 1e3:>9.2f} "
+            f"{s.errors:>4d}"
+        )
+    if profile.events:
+        lines.append("")
+        lines.append("events: " + ", ".join(
+            f"{n} x{count}" for n, count in sorted(profile.events.items())
+        ))
+    lines.append(
+        f"{len(profile.records)} records, root wall time "
+        f"{profile.root_wall_s * 1e3:.1f} ms"
+    )
+    return "\n".join(lines)
 
+
+def format_profile(profile: TraceProfile, top_k: Optional[int] = None) -> str:
+    """Every sweep attribution, then the hot-span table (``top_k`` rows)."""
     blocks = [format_attribution(a) for a in profile.attributions]
     if not blocks:
         blocks.append("no runtime.chunk dispatch records in trace")
-    if top_k > 0:
-        blocks.append(format_table(profile.summary, top_k=top_k))
+    blocks.append(format_spans(profile, top_k))
     return "\n\n".join(blocks)

@@ -7,7 +7,7 @@ with chunk-granular completions; the tracker renders
     fig9 [####------] 67/135 chunks  268/540 trials  41.2 trials/s  eta 7s  workers 4  retries 1
 
 to stderr and publishes every rendered update as one ``runtime.progress``
-event (flight recorder, trace and SSE, see :func:`repro.obs.flightrec.emit`),
+event (flight recorder and trace, see :func:`repro.obs.flightrec.emit`),
 so live state and post-hoc analysis see the same numbers.
 
 Rendering adapts to the sink:

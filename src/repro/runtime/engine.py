@@ -39,8 +39,8 @@ Execution model:
   parent-process-only state that cannot affect results;
 * every completed chunk carries a dispatch-overhead *envelope* (worker
   wall/CPU compute, receive/done timestamps, result-serialization cost)
-  recorded in the parent as ``runtime.chunk`` events (flight recorder,
-  trace, SSE: :func:`repro.obs.flightrec.emit`) and ``runtime.*``
+  recorded in the parent as ``runtime.chunk`` events (flight recorder
+  and trace: :func:`repro.obs.flightrec.emit`) and ``runtime.*``
   metrics; :func:`repro.obs.profile.attribute_chunks` folds
   these into the per-worker ``wall = compute + dispatch + serialization +
   idle`` breakdown stamped into :attr:`SweepResult.overhead`;

@@ -21,7 +21,7 @@ cannot stop it —
 
 1. bumps the ``runtime.watchdog_stalls`` counter (which the builtin
    critical alert rule ``runtime.watchdog_stall`` watches),
-2. emits one ``runtime.watchdog`` event (flight recorder, trace, SSE)
+2. emits one ``runtime.watchdog`` event (flight recorder and trace)
    and writes a ``runs/crash-<runid>/`` forensics bundle — including a
    ``faulthandler`` dump of every thread, hung ones included,
 3. releases cooperative fault hangs (:func:`repro.runtime.faults

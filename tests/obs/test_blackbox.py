@@ -1,4 +1,4 @@
-"""Crash-forensics bundles: write/list/load round-trips, CLI inspection."""
+"""Crash-forensics bundles: contents, run linkage, signal guard, CLI runs."""
 
 import json
 import os
@@ -11,16 +11,18 @@ from repro.obs import blackbox
 from repro.obs.blackbox import (
     BUNDLE_SCHEMA,
     drain_bundles,
-    format_bundle_list,
-    format_bundle_show,
-    list_bundles,
-    load_bundle,
     pending_bundles,
     set_run_context,
     signal_guard,
     write_crash_bundle,
 )
 from repro.obs.flightrec import get_recorder
+
+
+def manifests(runs_dir):
+    """Every bundle manifest under ``runs_dir``, read straight from disk."""
+    return [json.loads((d / "bundle.json").read_text())
+            for d in sorted(runs_dir.glob("crash-*"))]
 
 
 @pytest.fixture(autouse=True)
@@ -62,7 +64,7 @@ class TestWriteBundle:
                         argv=["figure", "7"])
         path = write_crash_bundle("unhandled_exception", runs_dir=tmp_path)
         assert path.name == "crash-20260807-120000-aaaa"
-        manifest = load_bundle("latest", runs_dir=tmp_path)
+        (manifest,) = manifests(tmp_path)
         assert manifest["run_id"] == "20260807-120000-aaaa"
         assert manifest["command"] == "figure"
 
@@ -89,59 +91,12 @@ class TestWriteBundle:
         assert pending_bundles() == 0 and drain_bundles() == []
 
 
-class TestInspection:
-    def _write_two(self, tmp_path):
-        set_run_context(run_id="run-aa")
-        write_crash_bundle("sweep_error", error=RuntimeError("x"),
-                           runs_dir=tmp_path)
-        blackbox.clear_run_context()
-        set_run_context(run_id="run-bb")
-        write_crash_bundle("watchdog_stall", runs_dir=tmp_path,
-                           detail={"stalled_chunks": 2})
-
-    def test_list_bundles_sorted(self, tmp_path):
-        self._write_two(tmp_path)
-        bundles = list_bundles(tmp_path)
-        assert [m["run_id"] for m in bundles] == ["run-aa", "run-bb"]
-        assert list_bundles(tmp_path / "missing") == []
-
-    def test_load_by_token(self, tmp_path):
-        self._write_two(tmp_path)
-        assert load_bundle("latest", runs_dir=tmp_path)["run_id"] == "run-bb"
-        assert load_bundle("run-aa", runs_dir=tmp_path)["run_id"] == "run-aa"
-        assert (load_bundle("crash-run-bb", runs_dir=tmp_path)["run_id"]
-                == "run-bb")
-        # unambiguous prefix resolves; ambiguous or unknown do not
-        assert load_bundle("run-a", runs_dir=tmp_path)["run_id"] == "run-aa"
-        assert load_bundle("run-", runs_dir=tmp_path) is None
-        assert load_bundle("nope", runs_dir=tmp_path) is None
-
-    def test_load_parses_contents(self, tmp_path):
-        get_recorder().record("runtime.progress", {"done_chunks": 1,
-                                                   "total_chunks": 2})
-        write_crash_bundle("critical_alert", runs_dir=tmp_path)
-        manifest = load_bundle("latest", runs_dir=tmp_path)
-        assert manifest["flightrec"]["records"]
-        assert manifest["progress"]["data"]["total_chunks"] == 2
-        assert manifest["environment"]["pid"] == os.getpid()
-        assert "stacks" in manifest
-
-    def test_format_helpers(self, tmp_path):
-        assert format_bundle_list([]) == "no crash bundles"
-        self._write_two(tmp_path)
-        listing = format_bundle_list(list_bundles(tmp_path))
-        assert "crash-run-aa" in listing and "watchdog_stall" in listing
-        shown = format_bundle_show(load_bundle("run-bb", runs_dir=tmp_path))
-        assert "detail.stalled_chunks: 2" in shown
-        assert "flight recorder:" in shown
-
-
 class TestSignalGuard:
     def test_sigint_writes_bundle_then_interrupts(self, tmp_path):
         with pytest.raises(KeyboardInterrupt):
             with signal_guard(runs_dir=tmp_path):
                 os.kill(os.getpid(), signal.SIGINT)
-        (manifest,) = list_bundles(tmp_path)
+        (manifest,) = manifests(tmp_path)
         assert manifest["reason"] == "signal"
         assert manifest["detail"]["signal"] == "SIGINT"
 
@@ -153,33 +108,6 @@ class TestSignalGuard:
 
 
 class TestCli:
-    def test_blackbox_list_and_show(self, tmp_path, capsys):
-        set_run_context(run_id="cli-run")
-        write_crash_bundle("sweep_error", error=RuntimeError("bad sweep"),
-                           runs_dir=tmp_path)
-        drain_bundles()
-        assert main(["obs", "blackbox", "list",
-                     "--ledger", str(tmp_path)]) == 0
-        assert "crash-cli-run" in capsys.readouterr().out
-        assert main(["obs", "blackbox", "show", "cli-run",
-                     "--ledger", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "reason: sweep_error" in out
-        assert "RuntimeError: bad sweep" in out
-
-    def test_blackbox_show_json(self, tmp_path, capsys):
-        set_run_context(run_id="cli-run")
-        write_crash_bundle("sweep_error", runs_dir=tmp_path)
-        drain_bundles()
-        assert main(["obs", "blackbox", "show", "--json",
-                     "--ledger", str(tmp_path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["run_id"] == "cli-run"
-
-    def test_blackbox_show_missing(self, tmp_path, capsys):
-        assert main(["obs", "blackbox", "show", "nope",
-                     "--ledger", str(tmp_path)]) == 1
-
     def test_run_crash_leaves_bundle_and_alarm(self, tmp_path, monkeypatch):
         """A failing run command writes a bundle linked from its ledger row."""
         from repro.obs.ledger import Ledger
@@ -192,7 +120,7 @@ class TestCli:
         monkeypatch.setattr("repro.cli._run_figure", explode)
         with pytest.raises(RuntimeError):
             main(["figure", "7", "--scale", "0.2"])
-        bundles = list_bundles(tmp_path)
+        bundles = manifests(tmp_path)
         assert [m["reason"] for m in bundles] == ["unhandled_exception"]
         assert bundles[0]["error"]["message"] == "kernel exploded"
         records = list(Ledger(tmp_path).records())

@@ -1,16 +1,10 @@
-"""Metric export: OpenMetrics rendering and tidy CSV."""
-
-import csv
-import io
+"""OpenMetrics: the /metrics rendering and its validator."""
 
 from repro.obs.export import (
-    ledger_to_csv,
-    metrics_to_csv,
     metrics_to_openmetrics,
     openmetrics_name,
     validate_openmetrics,
 )
-from repro.obs.ledger import RunRecord
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -124,36 +118,3 @@ class TestValidateOpenMetrics:
             "# HELP c repro counter c\n# TYPE c counter\nc_total 2\n# EOF\n"
         )
         assert validate_openmetrics(text) == []
-
-
-class TestLedgerCsv:
-    def _records(self):
-        return [
-            RunRecord(
-                run_id="r1", ts=1.75e9, command="figure", duration_s=2.0,
-                git_sha="abc", config_hash="h1", master_seed=4,
-                metrics={"fig9.gain": 8.0, "fig9.mbps": 220.0},
-            ),
-            RunRecord(run_id="r2", ts=1.76e9, command="report", duration_s=9.0),
-        ]
-
-    def test_one_row_per_run_metric(self):
-        rows = list(csv.DictReader(io.StringIO(ledger_to_csv(self._records()))))
-        assert len(rows) == 3  # two metrics for r1 + duration fallback for r2
-        r1 = [r for r in rows if r["run_id"] == "r1"]
-        assert {r["metric"] for r in r1} == {"fig9.gain", "fig9.mbps"}
-        (r2,) = [r for r in rows if r["run_id"] == "r2"]
-        assert r2["metric"] == "duration_s"
-        assert float(r2["value"]) == 9.0
-        assert r2["master_seed"] == ""
-
-    def test_metrics_to_csv_tidy_rows(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(2)
-        reg.histogram("h").observe(1.0)
-        rows = list(csv.DictReader(io.StringIO(metrics_to_csv(reg))))
-        counter_rows = [r for r in rows if r["metric"] == "c"]
-        assert counter_rows[0]["field"] == "value"
-        assert float(counter_rows[0]["value"]) == 2.0
-        hist_fields = {r["field"] for r in rows if r["metric"] == "h"}
-        assert "count" in hist_fields and "mean" in hist_fields

@@ -1,4 +1,4 @@
-"""End-to-end observability: instrumented stack, summary, overhead bound."""
+"""End-to-end observability: instrumented stack, profile, overhead bound."""
 
 import json
 import time
@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import metrics, trace
 from repro.obs.events import iter_events
-from repro.obs.summary import format_table, summarize
+from repro.obs.profile import format_spans, profile_trace
 
 
 def run_short_sim(duration_s=0.05, **kwargs):
@@ -66,12 +66,12 @@ class TestSimulatorTrace:
             run_short_sim()
         finally:
             trace.close()
-        summary = summarize(str(path))
-        assert summary.spans["mac.run"].count == 1
+        profile = profile_trace(str(path))
+        assert profile.spans["mac.run"].count == 1
         # self time never exceeds total, totals are positive
-        for stats in summary.spans.values():
+        for stats in profile.spans.values():
             assert 0.0 <= stats.total_self_s <= stats.total_wall_s + 1e-12
-        table = format_table(summary, top_k=5)
+        table = format_spans(profile, top_k=5)
         assert "phase_sync" in table
 
 
@@ -127,35 +127,6 @@ class TestCliWiring:
         snapshot = json.loads(m_path.read_text())
         assert "mac.arq.retries" in snapshot
         assert "mac.airtime.data_s" in snapshot
-
-    def test_obs_summarize_command(self, tmp_path, capsys):
-        from repro.cli import main
-
-        t_path = tmp_path / "t.jsonl"
-        assert main([
-            "simulate", "--n-aps", "2", "--n-clients", "2",
-            "--duration", "0.05", "--seed", "3", "--trace", str(t_path),
-        ]) == 0
-        capsys.readouterr()
-        assert main(["obs", "summarize", str(t_path), "--top", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "span" in out and "phase_sync" in out
-
-    def test_obs_summarize_missing_file(self, tmp_path):
-        from repro.cli import main
-
-        assert main(["obs", "summarize", str(tmp_path / "absent.jsonl")]) == 1
-
-    def test_repro_trace_console_entry(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.obs.summary import main as trace_main
-
-        t_path = tmp_path / "t.jsonl"
-        main(["simulate", "--n-aps", "2", "--n-clients", "2",
-              "--duration", "0.05", "--seed", "3", "--trace", str(t_path)])
-        capsys.readouterr()
-        assert trace_main([str(t_path), "--top", "3", "--sort", "total"]) == 0
-        assert "mac.run" in capsys.readouterr().out
 
 
 class TestNullOverhead:

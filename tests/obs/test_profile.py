@@ -1,4 +1,4 @@
-"""Attribution profiler: chunk math, trace profiling, folded stacks, CLI."""
+"""Trace profiler: chunk math, hot spans, folded stacks, CLI exit codes."""
 
 import json
 
@@ -138,8 +138,8 @@ class TestProfileTrace:
         assert a.wall_s == pytest.approx(6.0)
         assert a.chunks == 2
         assert {w.worker for w in a.per_worker} == {"pid:1", "pid:2"}
-        # the bundled hot-span summary sees the same records
-        assert "runtime.sweep" in prof.summary.spans
+        # the hot-span table sees the same records
+        assert "runtime.sweep" in prof.spans
 
     def test_sweep_without_chunk_events_is_skipped(self):
         records = [r for r in sweep_records() if r["type"] != "event"]
@@ -275,7 +275,8 @@ class TestCliProfile:
 
         records = [r for r in sweep_records() if r["type"] != "event"]
         path = self.write_trace(tmp_path, records)
-        assert main(["obs", "profile", str(path)]) == 1
+        # a sweep asked for by name must have been attributed
+        assert main(["obs", "profile", str(path), "--sweep", "fig9"]) == 1
 
     def test_profile_fully_resumed_sweep_succeeds(self, tmp_path, capsys):
         from repro.cli import main
@@ -298,3 +299,89 @@ class TestCliProfile:
         from repro.cli import main
 
         assert main(["obs", "profile", str(tmp_path / "absent.jsonl")]) == 1
+
+    def test_profile_simulate_trace_ranks_spans_by_self_time(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--n-aps", "2", "--n-clients", "2",
+                     "--duration", "0.05", "--seed", "3", "--no-ledger",
+                     "--trace", str(path)]) == 0
+        capsys.readouterr()
+        rows = hot_span_rows(path)
+        assert main(["obs", "profile", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("no runtime.chunk dispatch records in trace")
+        table = out.splitlines()
+        header = table.index(rows[0])
+        assert table[header:header + len(rows)] == rows
+        assert "mac.run" in out and "phase_sync" in out
+        # --top K keeps the header and the K hottest rows
+        assert main(["obs", "profile", str(path), "--top", "3"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        header = table.index(rows[0])
+        assert table[header:header + 4] == rows[:4]
+        assert "records, root wall time" in table[header + 4]
+
+    def test_profile_malformed_line_exits_one(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(sweep_records()[0]) + "\n{not json\n")
+        assert main(["obs", "profile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "ERROR" in err and "malformed trace" in err
+        assert "Traceback" not in err
+
+    def test_profile_non_object_record_exits_one(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(sweep_records()[0]) + "\n[1, 2]\n")
+        assert main(["obs", "profile", str(path)]) == 1
+
+    def test_profile_trace_without_spans_exits_one(self, tmp_path):
+        from repro.cli import main
+
+        path = self.write_trace(tmp_path, sweep_records()[:2])  # meta + event
+        assert main(["obs", "profile", str(path)]) == 1
+
+
+def hot_span_rows(path):
+    """Reference hot-span rows: header + one row per name, by self time.
+
+    A one-pass aggregation that relies on the trace writing children
+    before their parents, independent of the profiler's own reader.
+    """
+    stats, child_wall = {}, {}
+    with open(path) as f:
+        records = [json.loads(line) for line in f if line.strip()]
+    for r in records:
+        if r["type"] != "span":
+            continue
+        wall = r["wall_s"]
+        own = child_wall.pop(r["span_id"], 0.0)
+        s = stats.setdefault(r["name"], [0, 0.0, 0.0, 0.0, 0.0, 0])
+        s[0] += 1
+        s[1] += wall
+        s[2] += max(wall - own, 0.0)
+        s[3] = max(s[3], wall)
+        s[4] += r.get("cpu_s", 0.0)
+        s[5] += "error" in r
+        if r.get("parent_id") is not None:
+            child_wall[r["parent_id"]] = child_wall.get(r["parent_id"], 0.0) + wall
+    rows = [
+        f"{'span':<28} {'count':>7} {'total(ms)':>10} {'self(ms)':>10} "
+        f"{'mean(ms)':>9} {'max(ms)':>9} {'cpu(ms)':>9} {'err':>4}"
+    ]
+    for name, (n, total, self_s, mx, cpu, err) in sorted(
+        stats.items(), key=lambda kv: kv[1][2], reverse=True
+    ):
+        rows.append(
+            f"{name:<28} {n:>7d} {total * 1e3:>10.2f} {self_s * 1e3:>10.2f} "
+            f"{total / n * 1e3:>9.3f} {mx * 1e3:>9.3f} {cpu * 1e3:>9.2f} "
+            f"{err:>4d}"
+        )
+    return rows

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import urllib.request
 
 import pytest
 
@@ -31,6 +32,40 @@ class TestParser:
         # the TOML overlay (--alerts FILE) is gone: rules are builtin_rules()
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--alerts", "a.toml"])
+
+    def test_fail_on_alert_requires_serve_port(self, capsys):
+        # no server means no alert engine: the flag must not silently pass
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n-aps", "2", "--n-clients", "2",
+                  "--duration", "0.05", "--seed", "3", "--no-ledger",
+                  "--fail-on-alert"])
+        assert exc.value.code == 2
+        assert "--fail-on-alert requires --serve-port" in capsys.readouterr().err
+
+
+class TestObsSurface:
+    """``repro obs`` is profile, runs and regress; nothing else parses."""
+
+    def test_obs_help_lists_exactly_three_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        # argparse prints the full choice list of the obs subcommands
+        assert "{profile,runs,regress}" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["obs", "summarize", "t.jsonl"],
+        ["obs", "export", "csv"],
+        ["obs", "watch", "http://127.0.0.1:9"],
+        ["obs", "serve"],
+        ["obs", "blackbox", "list"],
+    ])
+    def test_removed_obs_commands_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -100,14 +135,16 @@ class TestLiveTelemetry:
         the process is still inside ``main``; hooking stop() observes the
         endpoint exactly as a live scraper would during the run.
         """
-        from repro.obs.serve import TelemetryServer, fetch_json
+        from repro.obs.serve import TelemetryServer
+
+        def fetch_json(url):
+            with urllib.request.urlopen(url, timeout=2.0) as resp:
+                return json.loads(resp.read().decode())
 
         orig_stop = TelemetryServer.stop
 
         def probing_stop(self):
             if self.running and not probes:
-                import urllib.request
-
                 with urllib.request.urlopen(self.url + "/metrics",
                                             timeout=2.0) as resp:
                     probes["metrics"] = resp.read().decode()
@@ -170,80 +207,3 @@ class TestLiveTelemetry:
             "simulate", "--n-aps", "2", "--n-clients", "2",
             "--duration", "0.05", "--seed", "3", "--serve-port", "0",
         ]) == 0
-
-    def test_obs_serve_runs_for_duration_and_announces(self, capsys):
-        assert main(["obs", "serve", "--port", "0", "--duration",
-                     "0.05"]) == 0
-        err = capsys.readouterr().err
-        assert "serving live telemetry on http://127.0.0.1:" in err
-
-    def test_obs_watch_once_against_a_live_server(self, clean_registry, capsys):
-        from repro.obs.serve import TelemetryServer
-
-        clean_registry.histogram("sim.err").observe(0.01)
-        server = TelemetryServer(port=0).start()
-        try:
-            assert main(["obs", "watch", server.url, "--once"]) == 0
-        finally:
-            server.stop()
-        assert "sim.err" in capsys.readouterr().out
-
-    def test_obs_watch_fail_on_alert_exit_code(self, clean_registry, capsys):
-        from repro.obs.alerts import AlertEngine, AlertRule
-        from repro.obs.serve import TelemetryServer
-
-        engine = AlertEngine([AlertRule(
-            name="test.err_budget", series="sim.err", threshold=0.05,
-        )])
-        clean_registry.histogram("sim.err").observe(0.2)
-        server = TelemetryServer(port=0, engine=engine).start()
-        server.evaluate_once()
-        try:
-            assert main(["obs", "watch", server.url, "--once",
-                         "--fail-on-alert"]) == 3
-        finally:
-            server.stop()
-
-    def test_obs_watch_unreachable_exits_one(self, capsys):
-        assert main(["obs", "watch", "http://127.0.0.1:9", "--once"]) == 1
-
-    def test_obs_watch_events_streams_sse_lines(self, clean_registry, capsys):
-        from repro.obs.serve import TelemetryServer
-
-        server = TelemetryServer(port=0).start()
-        try:
-            assert main(["obs", "watch", server.url, "--events",
-                         "--max-events", "1"]) == 0
-        finally:
-            server.stop()
-        out = capsys.readouterr().out
-        assert json.loads(out.splitlines()[0])["event"] == "hello"
-
-    def test_obs_watch_events_no_reconnect_exits_one(self, capsys):
-        assert main(["obs", "watch", "http://127.0.0.1:9", "--events",
-                     "--no-reconnect"]) == 1
-
-
-class TestBlackboxParser:
-    def test_show_defaults_to_latest(self):
-        args = build_parser().parse_args(["obs", "blackbox", "show"])
-        assert args.bundle == "latest"
-        assert args.records == 10 and args.as_json is False
-
-    def test_list_and_show_parse(self):
-        args = build_parser().parse_args(["obs", "blackbox", "list"])
-        assert args.blackbox_command == "list"
-        args = build_parser().parse_args(
-            ["obs", "blackbox", "show", "abc", "--records", "3", "--json"])
-        assert (args.bundle, args.records, args.as_json) == ("abc", 3, True)
-
-    def test_watch_events_flags(self):
-        args = build_parser().parse_args(
-            ["obs", "watch", "u", "--events", "--no-reconnect",
-             "--max-events", "5"])
-        assert args.events and args.no_reconnect
-        assert args.max_events == 5
-        # reconnect tuning is fixed (serve.STREAM_RETRIES), not a flag
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["obs", "watch", "u", "--events", "--max-retries", "2"])
