@@ -1,8 +1,11 @@
 """Performance benchmarks of the PHY substrate itself.
 
-Unlike the figure benches (one-shot experiment regenerations), these run
-multiple rounds and report real ops/sec — useful when optimizing the hot
-paths (Viterbi dominates; the medium's receive synthesis is second).
+Each PHY stage is timed on its own over multiple rounds, reporting real
+ops/sec — useful when optimizing the hot paths (Viterbi dominates; the
+medium's receive synthesis is second).  The paper's figures and ablations
+are checked by the claims table (``repro.sim.claims``) in the test suite.
+
+    pytest benchmarks/ --benchmark-only
 """
 
 import numpy as np

@@ -10,8 +10,9 @@
     python -m repro obs regress --baseline tests/data/regress_baseline.json
     python -m repro lint --format json
 
-Every command prints the same tables the benchmark suite reports, so the
-CLI is the quickest way to poke at one experiment with custom parameters.
+Every command prints the same tables ``repro report`` prints, so the CLI
+is the quickest way to poke at one experiment with custom parameters;
+default seeds come from the claims table (:mod:`repro.sim.claims`).
 
 Output policy: result tables go to **stdout**; diagnostics go to **stderr**
 through :mod:`repro.obs.logging` (``-v`` for progress, ``-vv`` for debug,
@@ -298,17 +299,13 @@ def _runtime_kwargs(args, supported: bool, what: str) -> dict:
     return kwargs
 
 
-#: Per-figure default RNG seeds (kept stable across releases so ledger
-#: records with the same config hash really are the same experiment).
-_FIGURE_SEEDS = {6: 1, 7: 2, 8: 3, 9: 4, 10: 4, 11: 5, 12: 6, 13: 6}
-
-
 def _run_figure(args, ctx: RunContext) -> int:
     from repro.sim import experiments as E
+    from repro.sim.claims import CLAIMS
 
     scale = max(args.scale, 0.1)
     n = args.number
-    seed = args.seed if args.seed is not None else _FIGURE_SEEDS[n]
+    seed = args.seed if args.seed is not None else CLAIMS[f"fig{n}"].seed
     rt = _runtime_kwargs(args, supported=n in (6, 8, 9, 10, 11), what=f"figure {n}")
     logger.info("running figure %d at scale %.2f", n, scale)
 
@@ -340,17 +337,11 @@ def _run_figure(args, ctx: RunContext) -> int:
     return 0
 
 
-_ABLATION_SEEDS = {
-    "sync": 7, "tracking": 8, "sounding": 9, "cfo": 10,
-    "overhead": 11, "screening": 14,
-}
-
-
 def _run_ablation(args, ctx: RunContext) -> int:
-    from repro.sim import ablations as A
-    from repro.sim.overhead import run_overhead_experiment
+    from repro.sim.claims import CLAIMS
 
-    seed = args.seed if args.seed is not None else _ABLATION_SEEDS[args.name]
+    claim = CLAIMS[args.name]
+    seed = args.seed if args.seed is not None else claim.seed
     rt = _runtime_kwargs(
         args, supported=args.name in ("sync", "screening"),
         what=f"ablation {args.name!r}",
@@ -361,15 +352,7 @@ def _run_ablation(args, ctx: RunContext) -> int:
             logger.warning("screening ablation ignores --checkpoint/--resume")
         rt.pop("resume", None)
     logger.info("running ablation %r", args.name)
-    runners = {
-        "sync": lambda: A.run_sync_strategy_ablation(seed=seed, **rt),
-        "tracking": lambda: A.run_tracking_ablation(seed=seed),
-        "sounding": lambda: A.run_sounding_ablation(seed=seed),
-        "cfo": lambda: A.run_cfo_averaging_ablation(seed=seed),
-        "overhead": lambda: run_overhead_experiment(seed=seed),
-        "screening": lambda: A.run_screening_ablation(seed=seed, **rt),
-    }
-    result = runners[args.name]()
+    result = claim.runner(seed=seed, **rt)
     ctx.config = {"ablation": args.name, "seed": seed, **rt}
     ctx.master_seed = seed
     if hasattr(result, "headline"):

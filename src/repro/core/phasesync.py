@@ -15,7 +15,7 @@ enough over packet durations (§5.3, principle 1) though never across packets
 (principle 2).
 
 ``NaiveCfoExtrapolator`` implements the strawman the paper argues against,
-used by the ablation benchmarks.
+used by the ablations.
 """
 
 from __future__ import annotations

@@ -12,6 +12,10 @@ Each runner isolates one mechanism of the paper's design:
   measurement symbols.
 * **CFO averaging** (§5.2b): EWMA coefficient of the long-term offset
   estimate vs. steady-state misalignment.
+* **CSI feedback precision** (§5.1b, §9): per-component quantization width
+  of the clients' channel reports vs. post-beamforming SINR and airtime.
+* **Grouping heuristic** (§9's future work): FIFO admission vs. greedy
+  sum-rate admission on topologies with a near-collinear client pair.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.channel.models import RicianChannel
-from repro.constants import CP_LENGTH, FFT_SIZE, SAMPLE_RATE_USRP
+from repro.constants import CP_LENGTH, FFT_SIZE, MAC_EFFICIENCY, SAMPLE_RATE_USRP
+from repro.core.feedback import CsiFeedbackCodec, apply_feedback_quantization
 from repro.core.sounding import (
     REFERENCE_OFFSET,
     SoundingPlan,
@@ -30,10 +35,16 @@ from repro.core.sounding import (
     interleaved_sounding_frame,
 )
 from repro.core.system import MegaMimoSystem, SystemConfig
+from repro.mac.grouping import ThroughputAwareGrouping
+from repro.mac.queue import DownlinkQueue
+from repro.mac.rate import EffectiveSnrRateSelector
+from repro.mac.scheduler import JointScheduler
 from repro.phy.preamble import lts_grid, sync_header, sync_header_length
 from repro.runtime import CellSpec, run_sweep
+from repro.sim.fastsim import SyncErrorModel, build_channel_tensor, joint_zf_sinr_db
 from repro.utils.rng import ensure_rng
 from repro.utils.units import wrap_phase
+from repro.utils.validation import require
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +145,7 @@ def run_sync_strategy_ablation(
     elapsed time; the naive extrapolation grows linearly until it wraps;
     no correction drifts immediately.
     """
+    require(n_systems >= 1, "n_systems must be >= 1")
     delays_s = np.asarray(list(delays_s), dtype=float)
     sweep = run_sweep(
         "ablation.sync",
@@ -209,6 +221,7 @@ def run_tracking_ablation(
     the correction phasor at the *end* of a hypothetical packet against the
     genie rotation.
     """
+    require(n_systems >= 1, "n_systems must be >= 1")
     rng = ensure_rng(seed)
     packet_durations_s = np.asarray(list(packet_durations_s), dtype=float)
     tracked = np.zeros(packet_durations_s.size)
@@ -312,6 +325,7 @@ def run_sounding_ablation(
     relative to AP 0's, against the genie channels at the reference time —
     exactly the quantity beamforming depends on.
     """
+    require(n_trials >= 1, "n_trials must be >= 1")
     rng = ensure_rng(seed)
     errors = {"interleaved": [], "sequential": []}
     occupied = np.abs(lts_grid()) > 0
@@ -404,6 +418,8 @@ def run_cfo_averaging_ablation(
     """
     from repro.core.phasesync import estimate_header_cfo
 
+    require(n_headers >= 1, "n_headers must be >= 1")
+    require(n_systems >= 1, "n_systems must be >= 1")
     rng = ensure_rng(seed)
     alphas = np.asarray(list(alphas), dtype=float)
     fs = SAMPLE_RATE_USRP
@@ -482,6 +498,7 @@ def run_screening_ablation(
     """
     from repro.sim.experiments import run_fig9
 
+    require(n_topologies >= 1, "n_topologies must be >= 1")
     screened_run = run_fig9(
         seed=seed, n_aps=tuple(n_aps), n_topologies=n_topologies,
         max_penalty_db=2.0, workers=workers, backend=backend,
@@ -494,4 +511,118 @@ def run_screening_ablation(
         n_aps=list(n_aps),
         screened={n: screened_run.median_gain("high", n) for n in n_aps},
         unscreened={n: unscreened_run.median_gain("high", n) for n in n_aps},
+    )
+
+
+# ---------------------------------------------------------------------------
+# CSI-feedback precision ablation
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FeedbackAblationResult:
+    """Beamforming SINR and feedback airtime per CSI quantization width.
+
+    Attributes:
+        bits: Per-component quantization widths probed.
+        sinr_db: Mean post-ZF SINR per width, all on one topology set.
+        airtime_s: Airtime of the four clients' reports per width.
+    """
+
+    bits: np.ndarray
+    sinr_db: np.ndarray
+    airtime_s: np.ndarray
+
+    def sinr_at(self, bits: int) -> float:
+        return float(self.sinr_db[list(self.bits).index(bits)])
+
+    def format_table(self) -> str:
+        lines = ["bits/component  mean SINR (dB)  feedback airtime (ms)"]
+        for b, sinr, airtime in zip(self.bits, self.sinr_db, self.airtime_s):
+            lines.append(f"{b:14d}  {sinr:14.1f}  {airtime * 1e3:21.2f}")
+        return "\n".join(lines)
+
+
+def run_feedback_sweep(
+    seed: int = 13,
+    n_topologies: int = 8,
+    bits: Sequence[int] = (3, 4, 6, 8, 12),
+) -> FeedbackAblationResult:
+    """Quantize the clients' channel reports at each width (4x4, 20 dB).
+
+    8-bit CSI (the 802.11n-class default) is indistinguishable from ideal
+    feedback, while very coarse reports create self-interference faster
+    than they save airtime.  The channels and their noisy estimates are
+    drawn once and every width quantizes that same set, so the widths
+    differ only in their quantization.
+    """
+    require(n_topologies >= 1, "n_topologies must be >= 1")
+    rng = ensure_rng(seed)
+    error_model = SyncErrorModel()
+    topologies = []
+    for _ in range(n_topologies):
+        channels = build_channel_tensor(np.full((4, 4), 20.0), rng)
+        topologies.append((channels, error_model.corrupt_estimate(channels, 20.0, rng)))
+    bits = np.asarray(list(bits), dtype=int)
+    sinr_db = [
+        np.mean([
+            np.mean(joint_zf_sinr_db(ch, est_channels=apply_feedback_quantization(est, b)))
+            for ch, est in topologies
+        ])
+        for b in bits
+    ]
+    airtime_s = [4 * CsiFeedbackCodec(bits_per_component=int(b)).airtime_s(52, 4) for b in bits]
+    return FeedbackAblationResult(
+        bits=bits, sinr_db=np.asarray(sinr_db), airtime_s=np.asarray(airtime_s)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Joint-transmission grouping ablation
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class GroupingAblationResult:
+    """Group sum rates of FIFO vs. throughput-aware admission per trial.
+
+    Attributes:
+        fifo_bps: Sum rate when all five clients are admitted.
+        smart_bps: Sum rate of the greedy sum-rate group.
+    """
+
+    fifo_bps: np.ndarray
+    smart_bps: np.ndarray
+
+    def format_table(self) -> str:
+        return (
+            "heuristic          mean sum rate (Mbps)\n"
+            f"FIFO (all 5)       {np.mean(self.fifo_bps) / 1e6:20.1f}\n"
+            f"throughput-aware   {np.mean(self.smart_bps) / 1e6:20.1f}"
+        )
+
+
+def run_grouping_comparison(seed: int = 12, n_trials: int = 15) -> GroupingAblationResult:
+    """FIFO vs. greedy sum-rate admission on collinear-pair topologies.
+
+    Each 5x5 topology (20 dB links) gets one near-collinear client pair —
+    two laptops side by side — the case where admitting everyone collapses
+    the ZF power scalar for all streams.
+    """
+    require(n_trials >= 1, "n_trials must be >= 1")
+    rng = ensure_rng(seed)
+    selector = EffectiveSnrRateSelector(SAMPLE_RATE_USRP, mac_efficiency=MAC_EFFICIENCY)
+    fifo_rates, smart_rates = [], []
+    for _ in range(n_trials):
+        channels = build_channel_tensor(np.full((5, 5), 20.0), rng)
+        channels[:, 4, :] = channels[:, 2, :] * (1.0 + 0.03j)
+        grouping = ThroughputAwareGrouping(channels, selector)
+        queue = DownlinkQueue(rng.uniform(15, 25, (5, 5)))
+        for c in range(5):
+            queue.enqueue(c)
+        smart = JointScheduler(queue, max_streams=5, grouping=grouping).next_group()
+        smart_rates.append(grouping.group_sum_rate(smart.clients))
+        fifo_rates.append(grouping.group_sum_rate([0, 1, 2, 3, 4]))
+    return GroupingAblationResult(
+        fifo_bps=np.asarray(fifo_rates), smart_bps=np.asarray(smart_rates)
     )

@@ -58,6 +58,7 @@ from repro.sim.fastsim import (
 from repro.sim.metrics import cdf_points, median_gain, percentile
 from repro.utils.rng import ensure_rng
 from repro.utils.units import db_to_linear, linear_to_db, wrap_phase
+from repro.utils.validation import require
 
 BAND_ORDER = ("high", "medium", "low")
 
@@ -142,6 +143,7 @@ def run_fig6(
 ) -> Fig6Result:
     """Fig. 6 methodology: 2 TX, 2 RX, 100 random channel matrices,
     misalignments 0..0.5 rad, average SNR 10 and 20 dB."""
+    require(n_channels >= 1, "n_channels must be >= 1")
     if misalignments is None:
         misalignments = np.linspace(0.0, 0.5, 11)
     misalignments = np.asarray(misalignments, dtype=float)
@@ -226,6 +228,8 @@ def run_fig7(
     CFO average has converged, as it would in a continuously-operating
     deployment (§5.2b).
     """
+    require(n_systems >= 1, "n_systems must be >= 1")
+    require(n_rounds >= 1, "n_rounds must be >= 1")
     rng = ensure_rng(seed)
     deviations: List[float] = []
     fs = SAMPLE_RATE_USRP
@@ -354,6 +358,8 @@ def run_fig8(
 ) -> Fig8Result:
     """Fig. 8 methodology: equal AP/client counts per SNR band; null at each
     client in turn; average the (leak+noise)/noise ratio."""
+    require(n_topologies >= 1, "n_topologies must be >= 1")
+    require(n_packets >= 1, "n_packets must be >= 1")
     error_model = error_model or SyncErrorModel()
     n_receivers = np.asarray(list(n_receivers), dtype=int)
     cells = [
@@ -625,6 +631,7 @@ def run_fig9(
     APs): the ZF power penalty is hidden by MCS saturation at high SNR but
     not at low SNR.
     """
+    require(n_topologies >= 1, "n_topologies must be >= 1")
     error_model = error_model or SyncErrorModel()
     n_aps = np.asarray(list(n_aps), dtype=int)
     grid = [
@@ -793,6 +800,7 @@ def run_fig11(
 ) -> Fig11Result:
     """Fig. 11 methodology: one client with roughly equal SNR to all APs;
     all APs beamform the same stream coherently (§8)."""
+    require(n_draws >= 1, "n_draws must be >= 1")
     error_model = error_model or SyncErrorModel()
     if snr_db is None:
         snr_db = np.arange(-5.0, 26.0, 2.5)
@@ -923,6 +931,7 @@ def run_fig12(
     coexisting (higher) unicast links — which is why the measured gains are
     1.67-1.83x rather than the full theoretical 2x.
     """
+    require(n_topologies >= 1, "n_topologies must be >= 1")
     rng = ensure_rng(seed)
     error_model = error_model or SyncErrorModel()
     selector = EffectiveSnrRateSelector(SAMPLE_RATE_80211, mac_efficiency=MAC_EFFICIENCY)
@@ -1071,6 +1080,7 @@ def run_fig12_sample_level(
     rates use each transmission's effective-SNR-selected MCS and count only
     CRC-verified deliveries.
     """
+    require(n_topologies >= 1, "n_topologies must be >= 1")
     from repro.channel.models import RicianChannel
     from repro.core.beamforming import zero_forcing_precoder_wideband
     from repro.core.compat_sampling import SampleLevelCompatSounder

@@ -145,6 +145,7 @@ def run_overhead_experiment(
     airtime on sounding; long intervals decay into self-interference — the
     optimum sits near the coherence time, as §5 asserts.
     """
+    require(n_topologies >= 1, "n_topologies must be >= 1")
     rng = ensure_rng(seed)
     selector = EffectiveSnrRateSelector(SAMPLE_RATE_USRP, mac_efficiency=MAC_EFFICIENCY)
     intervals_s = np.asarray(list(intervals_s), dtype=float)

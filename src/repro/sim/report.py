@@ -1,9 +1,10 @@
 """Regenerate the measured numbers recorded in EXPERIMENTS.md.
 
-Runs every figure's experiment at full scale and prints the tables; the
-output is what EXPERIMENTS.md's "measured" columns quote.  Lives inside the
-package (rather than only in ``scripts/``) so ``python -m repro report``
-works from an installed wheel, not just a source checkout.
+Runs every claim of :mod:`repro.sim.claims` at its report sizes and prints
+its tables under the paper's statement; the output is what
+EXPERIMENTS.md's "measured" columns quote.  Lives inside the package so
+``python -m repro report`` works from an installed wheel, not just a
+source checkout.
 """
 
 from __future__ import annotations
@@ -21,76 +22,25 @@ def _banner(msg: str) -> None:
 
 def generate_report() -> None:
     """Run the full experiment suite and print every table to stdout."""
-    from repro.sim import ablations as A
-    from repro.sim import experiments as E
-    from repro.sim.overhead import run_overhead_experiment
+    from repro.sim.claims import CLAIMS
     from repro.sim.theory import fit_gain_model, paper_implied_k_summary
 
     report_timer = metrics.timer("report.generate_s").start()
     logger.info("regenerating all EXPERIMENTS.md tables (full scale)")
 
-    _banner("Figure 6 — SNR reduction vs. phase misalignment")
-    fig6 = E.run_fig6(seed=1, n_channels=100)
-    print(fig6.format_table())
-    print(f"loss at 0.35 rad / 20 dB: {fig6.reduction_at(20.0, 0.35):.2f} dB "
-          "(paper: ~8 dB)")
-
-    _banner("Figure 7 — CDF of observed phase misalignment")
-    fig7 = E.run_fig7(seed=2, n_systems=12, n_rounds=40)
-    print(fig7.format_table())
-    print("(paper: median 0.017 rad, p95 0.05 rad)")
-
-    _banner("Figure 8 — INR vs. number of receivers")
-    fig8 = E.run_fig8(seed=3, n_topologies=20, n_packets=5)
-    print(fig8.format_table())
-    for band in ("high", "medium", "low"):
-        print(f"{band}: slope {fig8.slope_db_per_pair(band):+.3f} dB/pair")
-    print("(paper: <1.5 dB at 10 receivers; ~0.13 dB/pair at high SNR)")
-
-    _banner("Figures 9 & 10 — throughput scaling and fairness")
-    fig9 = E.run_fig9(seed=4, n_topologies=20)
-    print(fig9.format_table())
-    print("(paper: gains 9.4x / 9.1x / 8.1x at 10 APs; baselines 23.6 / "
-          "14.9 / 7.75 Mbps)")
-    fig10 = E.run_fig10(fig9, n_aps=(2, 6, 10))
-    print()
-    print(fig10.format_table())
-
-    _banner("Figure 11 — diversity throughput vs. SNR")
-    fig11 = E.run_fig11(seed=5, n_draws=40)
-    print(fig11.format_table())
-    zero = int(abs(fig11.snr_db - 0.0).argmin())
-    print(f"0 dB client with 10 APs: {fig11.throughput_mbps[10][zero]:.1f} Mbps "
-          "(paper: ~21 Mbps)")
-
-    _banner("Figures 12 & 13 — 802.11n compatibility")
-    fig12 = E.run_fig12(seed=6, n_topologies=40)
-    print(fig12.format_table())
-    print("(paper: 1.67-1.83x average across bands)")
-    fig13 = E.run_fig13(fig12)
-    print(fig13.format_table())
-    print("(paper: 1.65-2x per node, median 1.8x)")
-
-    _banner("Figure 12, sample level — real waveforms through the §6 pipeline")
-    fig12s = E.run_fig12_sample_level(seed=15, n_topologies=8)
-    print(fig12s.format_table())
-
-    _banner("Ablation — sync strategy")
-    print(A.run_sync_strategy_ablation(seed=7, n_systems=8).format_table())
-
-    _banner("Ablation — in-packet tracking")
-    print(A.run_tracking_ablation(seed=8, n_systems=8).format_table())
-
-    _banner("Ablation — sounding layout")
-    print(A.run_sounding_ablation(seed=9, n_trials=20).format_table())
-
-    _banner("Ablation — CFO averaging window")
-    print(A.run_cfo_averaging_ablation(seed=10, n_systems=10).format_table())
-
-    _banner("Ablation — sounding overhead vs. CSI staleness")
-    print(run_overhead_experiment(seed=11, n_topologies=8).format_table())
+    for claim in CLAIMS.values():
+        if claim.report is None:
+            continue
+        if claim.title:
+            _banner(claim.title)
+        else:
+            print()
+        print(claim.render(claim.result(**claim.report)))
+        print(f"(paper: {claim.paper})")
 
     _banner("Theory — the paper's gain model fitted to our Fig. 9 (high SNR)")
+    fig9_claim = CLAIMS["fig9"]
+    fig9 = fig9_claim.result(**fig9_claim.report)  # the memoized Fig. 9 run above
     gains = [fig9.median_gain("high", n) for n in (4, 6, 8, 10)]
     fit = fit_gain_model([4, 6, 8, 10], gains, 22.0)
     print(fit.format_table())

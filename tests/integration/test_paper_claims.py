@@ -1,125 +1,112 @@
-"""The paper's headline quantitative claims, asserted end to end.
+"""The paper's quantitative claims, asserted end to end.
 
-Each test reproduces a figure at reduced scale and checks the *shape* the
-paper reports: who wins, roughly by how much, and in which direction the
-trends run.  EXPERIMENTS.md records the full-scale numbers.
+Every check of :mod:`repro.sim.claims` runs here, at the exact seed and
+sizes the table pins it to: the named tests below, then every other check
+through ``test_claim``.  Checks share memoized runner calls, so each
+distinct call runs once per session.  EXPERIMENTS.md records the numbers
+``repro report`` prints at full scale.
 """
 
-import numpy as np
 import pytest
 
-from repro.sim.experiments import (
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_fig11,
-    run_fig12,
-)
+from repro.sim.claims import CLAIMS
 
 
-class TestFig6Claims:
+def _verify(key: str, check: str) -> None:
+    claim = CLAIMS[key]
+    assert claim.holds(check), f"{key}: {check} at {claim.check(check).call}"
+
+
+class _ClaimTests:
+    claim: str
+
+    def verify(self, check: str) -> None:
+        _verify(self.claim, check)
+
+
+class TestFig6Claims(_ClaimTests):
+    claim = "fig6"
+
     def test_035_rad_costs_8db_at_20db_snr(self):
-        r = run_fig6(n_channels=100)
-        assert r.reduction_at(20.0, 0.35) == pytest.approx(8.0, abs=1.5)
+        self.verify("035_rad_costs_8db_at_20db_snr")
 
     def test_loss_monotonic_and_snr_ordering(self):
-        r = run_fig6(n_channels=60)
-        for snr, curve in r.reduction_db.items():
-            assert np.all(np.diff(curve) > 0)
-        assert np.all(r.reduction_db[20.0][1:] > r.reduction_db[10.0][1:])
+        self.verify("loss_monotonic_and_snr_ordering")
 
 
-class TestFig7Claims:
+class TestFig7Claims(_ClaimTests):
+    claim = "fig7"
+
     def test_misalignment_distribution(self):
-        """Paper: median 0.017 rad, p95 0.05 rad."""
-        r = run_fig7(seed=2, n_systems=6, n_rounds=20)
-        assert r.median_rad < 0.035
-        assert r.p95_rad < 0.10
+        self.verify("misalignment_distribution")
 
 
-class TestFig8Claims:
+class TestFig8Claims(_ClaimTests):
+    claim = "fig8"
+
     def test_inr_below_1_5db_and_slope(self):
-        """Paper: INR stays below ~1.5 dB even with 10 receivers; ~0.13 dB
-        per added AP-client pair at high SNR."""
-        r = run_fig8(n_receivers=(2, 4, 6, 8, 10), n_topologies=6, n_packets=4)
-        assert r.inr_db["high"][-1] < 2.0
-        assert 0.05 < r.slope_db_per_pair("high") < 0.25
-        # higher SNR band -> higher INR (§11.1c)
-        assert np.mean(r.inr_db["high"]) > np.mean(r.inr_db["low"])
+        self.verify("inr_below_1_5db_and_slope")
 
 
-class TestFig9Claims:
-    @pytest.fixture(scope="class")
-    def fig9(self):
-        return run_fig9(seed=3, n_aps=(2, 4, 6, 8, 10), n_topologies=6)
+class TestFig9Claims(_ClaimTests):
+    claim = "fig9"
 
-    def test_linear_scaling(self, fig9):
-        """Throughput grows ~linearly with AP count at every band."""
-        for band in ("high", "medium", "low"):
-            mm = fig9.mean_megamimo_mbps(band)
-            assert mm[-1] > 3.5 * mm[0]  # 10 APs vs 2 APs
-            # monotone growth
-            assert np.all(np.diff(mm) > -5.0)
+    def test_linear_scaling(self):
+        self.verify("linear_scaling")
 
-    def test_baseline_flat(self, fig9):
-        for band in ("high", "medium", "low"):
-            bl = fig9.mean_baseline_mbps(band)
-            assert np.std(bl) < 0.25 * np.mean(bl)
+    def test_baseline_flat(self):
+        self.verify("baseline_flat")
 
-    def test_median_gain_at_10_aps(self, fig9):
-        """Paper: 8.1-9.4x across bands at 10 APs."""
-        g_high = fig9.median_gain("high", 10)
-        g_low = fig9.median_gain("low", 10)
-        assert 7.0 < g_high < 11.0
-        assert 5.0 < g_low <= g_high + 0.5
+    def test_median_gain_at_10_aps(self):
+        self.verify("median_gain_at_10_aps")
 
-    def test_baseline_absolute_levels(self, fig9):
-        """Paper: 7.75 / 14.9 / 23.6 Mbps at low/medium/high."""
-        assert fig9.mean_baseline_mbps("high").mean() == pytest.approx(23.6, abs=2.5)
-        assert fig9.mean_baseline_mbps("medium").mean() == pytest.approx(14.9, abs=3.0)
-        assert fig9.mean_baseline_mbps("low").mean() == pytest.approx(7.75, abs=2.5)
+    def test_baseline_absolute_levels(self):
+        self.verify("baseline_absolute_levels")
 
 
-class TestFig11Claims:
+class TestFig11Claims(_ClaimTests):
+    claim = "fig11"
+
     def test_dead_spot_revival(self):
-        """Paper: a client with 0 dB links gets ~21 Mbps from 10 APs while
-        802.11 alone delivers (almost) nothing."""
-        r = run_fig11(n_aps_list=(10,), snr_db=(0.0,), n_draws=20)
-        assert r.throughput_mbps[1][0] < 2.0
-        assert r.throughput_mbps[10][0] == pytest.approx(21.0, abs=6.0)
+        self.verify("dead_spot_revival")
 
     def test_gain_largest_at_low_snr(self):
-        r = run_fig11(n_aps_list=(4,), snr_db=(0.0, 20.0), n_draws=10)
-        base = np.maximum(r.throughput_mbps[1], 0.05)
-        gains = r.throughput_mbps[4] / base
-        assert gains[0] > gains[1]
+        self.verify("gain_largest_at_low_snr")
 
     def test_more_aps_never_hurt(self):
-        r = run_fig11(n_aps_list=(2, 6, 10), snr_db=(5.0,), n_draws=10)
-        assert (
-            r.throughput_mbps[10][0]
-            >= r.throughput_mbps[6][0]
-            >= r.throughput_mbps[2][0] - 1.0
-        )
+        self.verify("more_aps_never_hurt")
 
 
-class TestFig12Claims:
+class TestFig12Claims(_ClaimTests):
+    claim = "fig12"
+
     def test_80211n_compat_gains(self):
-        """Paper: 1.67-1.83x average gain; high SNR gains exceed low."""
-        r = run_fig12(n_topologies=12)
-        for band in ("high", "medium", "low"):
-            assert 1.3 < r.mean_gain(band) < 2.3
-        assert r.mean_gain("high") > r.mean_gain("low") - 0.1
+        self.verify("80211n_compat_gains")
 
 
-class TestFig12SampleLevelClaims:
+class TestFig12SampleLevelClaims(_ClaimTests):
+    claim = "fig12_sample_level"
+
     def test_real_waveform_gains_in_band(self):
-        """§6 end to end with real packets: the measured gain over the
-        single-AP baseline lands in the paper's neighbourhood."""
-        from repro.sim.experiments import run_fig12_sample_level
+        self.verify("real_waveform_gains_in_band")
 
-        r = run_fig12_sample_level(seed=15, n_topologies=4)
-        assert 1.1 < r.mean_gain < 2.9
-        # MegaMIMO beats the baseline on most topologies
-        assert (r.gains > 1.0).mean() >= 0.5
+
+_NAMED = {
+    (cls.claim, name[len("test_"):])
+    for cls in _ClaimTests.__subclasses__()
+    for name in vars(cls)
+    if name.startswith("test_")
+}
+_OTHERS = [
+    (claim.key, check.name)
+    for claim in CLAIMS.values()
+    for check in claim.checks
+    if (claim.key, check.name) not in _NAMED
+]
+
+
+@pytest.mark.parametrize(
+    "key, check", _OTHERS, ids=[f"{key}-{check}" for key, check in _OTHERS]
+)
+def test_claim(key, check):
+    _verify(key, check)

@@ -4,17 +4,48 @@ live in tests/integration/test_paper_claims.py)."""
 import numpy as np
 import pytest
 
+from repro.sim import ablations as A
 from repro.sim.experiments import (
     draw_screened_channels,
     run_fig6,
+    run_fig7,
     run_fig8,
     run_fig9,
     run_fig10,
     run_fig11,
     run_fig12,
+    run_fig12_sample_level,
     run_fig13,
     zf_penalty_db,
 )
+from repro.sim.overhead import run_overhead_experiment
+
+
+@pytest.mark.parametrize("runner, arg", [
+    (run_fig6, "n_channels"),
+    (run_fig7, "n_systems"),
+    (run_fig7, "n_rounds"),
+    (run_fig8, "n_topologies"),
+    (run_fig8, "n_packets"),
+    (run_fig9, "n_topologies"),
+    (run_fig10, "n_topologies"),
+    (run_fig11, "n_draws"),
+    (run_fig12, "n_topologies"),
+    (run_fig13, "n_topologies"),
+    (run_fig12_sample_level, "n_topologies"),
+    (A.run_sync_strategy_ablation, "n_systems"),
+    (A.run_tracking_ablation, "n_systems"),
+    (A.run_sounding_ablation, "n_trials"),
+    (A.run_cfo_averaging_ablation, "n_systems"),
+    (A.run_cfo_averaging_ablation, "n_headers"),
+    (A.run_screening_ablation, "n_topologies"),
+    (A.run_feedback_sweep, "n_topologies"),
+    (A.run_grouping_comparison, "n_trials"),
+    (run_overhead_experiment, "n_topologies"),
+])
+def test_runners_reject_empty_sizes(runner, arg):
+    with pytest.raises(ValueError, match=f"{arg} must be >= 1"):
+        runner(**{arg: 0})
 
 
 class TestFig6:

@@ -24,6 +24,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ablation", "nonsense"])
 
+    def test_default_seeds_come_from_the_claims_table(self):
+        # ledger config hashes record these seeds, so they must not move
+        from repro.sim.claims import CLAIMS
+
+        seeds = {key: CLAIMS[key].seed for key in (
+            "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+            "sync", "tracking", "sounding", "cfo", "overhead", "screening",
+        )}
+        assert seeds == {
+            "fig6": 1, "fig7": 2, "fig8": 3, "fig9": 4, "fig10": 4, "fig11": 5,
+            "fig12": 6, "fig13": 6, "sync": 7, "tracking": 8, "sounding": 9,
+            "cfo": 10, "overhead": 11, "screening": 14,
+        }
+        for name in ("feedback", "grouping"):  # report/tier-1 only
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["ablation", name])
+
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate"])
         assert args.n_aps == 4 and args.arrival_rate is None
