@@ -5,7 +5,7 @@ through ``with`` (``Span.__exit__`` emits the record; a span that is never
 exited is silently lost, and one exited manually can mis-nest the stack).
 Metric names must follow the registered ``dotted.name`` convention —
 ``component.metric`` lowercase with underscores — because the summarizer's
-glob filters, the OpenMetrics exporter and the regression gate all key on
+glob filters, the OpenMetrics exporter and the alert rules all key on
 that shape (see ``docs/observability.md``).
 """
 

@@ -7,7 +7,7 @@
     python -m repro report
     python -m repro obs profile out.jsonl --top 10
     python -m repro obs runs list
-    python -m repro obs regress --baseline tests/data/regress_baseline.json
+    python -m repro obs regress
     python -m repro lint --format json
 
 Every command prints the same tables ``repro report`` prints, so the CLI
@@ -26,11 +26,10 @@ git sha, config hash, master seed, duration, headline metrics, alarms —
 to the run ledger (``runs/ledger.jsonl`` by default; ``--ledger DIR`` or
 ``$REPRO_RUNS_DIR`` to relocate, ``--no-ledger`` to skip).
 
-``repro obs`` has three commands, one per question telemetry answers:
-``profile`` (where a traced run's time went), ``runs list/show/diff``
-(which claim moved between runs; ``runs show`` also links the crash
-bundle of a failed run) and ``regress`` (which claim left its committed
-baseline).
+``repro obs`` has three commands: ``profile`` (where a traced run's
+time went), ``runs list/show/diff`` (which claim moved between runs;
+``runs show`` also links the crash bundle of a failed run) and
+``regress`` (whether every check of the paper-claims table still holds).
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ logger = get_logger(__name__)
 
 #: Commands whose invocations land in the run ledger.
 RUN_COMMANDS = ("figure", "ablation", "simulate", "quickstart", "report")
-
-#: Default baseline path of ``repro obs regress`` (the committed one).
-DEFAULT_BASELINE = "tests/data/regress_baseline.json"
 
 
 @dataclass
@@ -226,19 +222,10 @@ def _add_obs_parser(subparsers, common) -> None:
     rd.add_argument("new", nargs="?", default="latest",
                     help="run id, prefix, or 'latest' (default)")
 
-    g = obs_sub.add_parser(
+    obs_sub.add_parser(
         "regress", parents=[common],
-        help="compare headline metrics against a committed baseline",
+        help="run every check of the paper-claims table; exit 1 on a breach",
     )
-    g.add_argument("--baseline", metavar="FILE", default=DEFAULT_BASELINE,
-                   help=f"baseline JSON (default {DEFAULT_BASELINE})")
-    g.add_argument("--current", metavar="FILE", default=None,
-                   help="flat {metric: value} JSON instead of running probes")
-    g.add_argument("--run", metavar="ID", default=None,
-                   help="check a ledger record's headline metrics "
-                        "(id, prefix, or 'latest')")
-    g.add_argument("--update-baseline", action="store_true",
-                   help="write the current metrics to --baseline and exit")
 
 
 def _add_lint_parser(subparsers, common) -> None:
@@ -364,7 +351,6 @@ def _run_ablation(args, ctx: RunContext) -> int:
 
 def _run_simulate(args, ctx: RunContext) -> int:
     from repro.mac.simulator import DownlinkSimulator, LinkLayerConfig
-    from repro.obs.regress import sync_health_alarms
 
     config = LinkLayerConfig(
         n_aps=args.n_aps,
@@ -391,8 +377,14 @@ def _run_simulate(args, ctx: RunContext) -> int:
     }
     ctx.master_seed = config.seed
     ctx.headline = sim_trace.headline()
-    # sync-health monitor: per-slave phase-error p95 vs. the paper's budget
-    ctx.alarms = sync_health_alarms()
+    if args.serve_port is None:
+        # the §7.3 budget rules, judged once at the end of the run; under
+        # --serve-port the live engine judges them and records its alarms
+        from repro.obs.alerts import AlertEngine, builtin_rules
+
+        engine = AlertEngine(builtin_rules())
+        engine.evaluate(metrics.get_registry())
+        ctx.alarms = engine.fired_alarms()
     print(sim_trace.format_summary())
     return 0
 
@@ -472,44 +464,28 @@ def _run_obs_runs(args) -> int:
     return 0
 
 
-def _run_obs_regress(args) -> int:
-    from repro.obs import regress as R
-    from repro.obs.ledger import Ledger
+def _run_obs_regress() -> int:
+    from repro.sim.claims import CLAIMS
 
-    require_all = True
-    if args.current:
-        try:
-            with open(args.current) as f:
-                current = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            logger.error("cannot read current metrics %s: %s", args.current, exc)
-            return R.EXIT_NO_BASELINE
-    elif args.run:
-        record = _resolve_run(Ledger(args.ledger), args.run)
-        if record is None:
-            return R.EXIT_NO_BASELINE
-        current = record.metrics
-        # a ledger record only carries its own command's headline metrics
-        require_all = False
-    else:
-        logger.info("running regression probe suite")
-        current = R.run_probes()
-
-    if args.update_baseline:
-        R.write_baseline(args.baseline, current)
-        print(f"baseline written to {args.baseline} ({len(current)} metrics)")
-        return R.EXIT_OK
-
-    baseline = R.load_baseline(args.baseline)
-    if baseline is None:
-        print(
-            f"no usable baseline at {args.baseline} "
-            f"(create one with --update-baseline)"
-        )
-        return R.EXIT_NO_BASELINE
-    report = R.compare(current, baseline, require_all=require_all)
-    print(report.format_table())
-    return R.EXIT_OK if report.passed else R.EXIT_BREACH
+    checks = [(claim, check) for claim in CLAIMS.values() for check in claim.checks]
+    failed = []
+    for claim, check in checks:
+        name = f"{claim.key}/{check.name}"
+        with metrics.timer("obs.regress_check_s") as timer:
+            try:
+                status = "ok" if claim.holds(check.name) else "BREACH"
+            except Exception as exc:  # a runner that raises fails its row, not the run
+                logger.debug("%s raised", name, exc_info=True)
+                status = f"ERROR {type(exc).__name__}: {exc}"
+        print(f"{name:<72} {status:<8} {timer.wall_s:7.1f} s")
+        if status != "ok":
+            failed.append(name)
+    if failed:
+        print(f"regress FAILED: {len(failed)} of {len(checks)} checks do not hold "
+              f"({', '.join(failed)})")
+        return 1
+    print(f"regress passed: all {len(checks)} checks hold")
+    return 0
 
 
 def _run_obs_profile(args) -> int:
@@ -558,7 +534,7 @@ def _run_obs(args) -> int:
     if args.obs_command == "runs":
         return _run_obs_runs(args)
     if args.obs_command == "regress":
-        return _run_obs_regress(args)
+        return _run_obs_regress()
     return 2  # unreachable: argparse enforces the choices
 
 
@@ -722,7 +698,6 @@ def _main(argv: Optional[List[str]]) -> int:
         if server is not None:
             server.stop()  # final alert evaluation before judging the run
             fired = server.engine.fired_alarms()
-            ctx.alarms.extend(fired)
             critical = [a for a in fired if a.get("severity") == "critical"]
             if critical and is_run:
                 from repro.obs import blackbox
@@ -750,9 +725,7 @@ def _main(argv: Optional[List[str]]) -> int:
             # exception path: stop (idempotent) while the trace is still
             # open so the engine's final obs.alert events land in it
             server.stop()
-            for alarm in server.engine.fired_alarms():
-                if alarm not in ctx.alarms:
-                    ctx.alarms.append(alarm)
+            ctx.alarms.extend(server.engine.fired_alarms())
         if guard is not None:
             guard.__exit__(None, None, None)
         if is_run:

@@ -245,9 +245,6 @@ class DownlinkSimulator:
         self._m_failures = metrics.counter("mac.stream_failures")
         self._m_soundings = metrics.counter("mac.soundings")
         self._m_sinr = metrics.histogram("mac.effective_sinr_db")
-        # per-packet sync health: budget alerts read this histogram's ring
-        # and can fire mid-run (see repro.obs.alerts)
-        self._m_phase_err = metrics.histogram("mac.phase_error_rad")
         self._m_airtime = {
             kind: metrics.counter(f"mac.airtime.{kind}_s")
             for kind in ("data", "sounding", "contention", "idle")
@@ -326,11 +323,9 @@ class DownlinkSimulator:
             sinr = zf_sinr_db(true, self._precoders, 1.0, errors)
             eff = float(np.mean(sinr[client]))
             success = eff >= self._mcs.min_snr_db
-            max_err = float(np.max(np.abs(errors)))
             self._m_sinr.observe(eff)
-            self._m_phase_err.observe(max_err)
             span.record(
-                max_phase_error_rad=max_err,
+                max_phase_error_rad=float(np.max(np.abs(errors))),
                 phase_errors_rad=errors,
                 effective_sinr_db=eff,
                 mcs=self._mcs.name,

@@ -18,17 +18,18 @@ Around them: the span **tracer** (:mod:`repro.obs.tracer`, free until a
 sink is configured; per-worker shards merged by :mod:`repro.obs.shards`),
 **logging** to stderr (:mod:`repro.obs.logging`), the **run ledger**
 (:mod:`repro.obs.ledger` + :mod:`repro.obs.provenance`), sweep
-**progress** (:mod:`repro.obs.progress`), **regression** checks and the
-§7.3 sync-health monitor (:mod:`repro.obs.regress`), the trace
-**profiler** (:mod:`repro.obs.profile`: hot spans by self time and
-per-sweep attribution) and the live HTTP endpoint behind
+**progress** (:mod:`repro.obs.progress`), the trace **profiler**
+(:mod:`repro.obs.profile`: hot spans by self time and per-sweep
+attribution) and the live HTTP endpoint behind
 ``--serve-port`` (:mod:`repro.obs.serve` + :mod:`repro.obs.alerts`,
 OpenMetrics via :mod:`repro.obs.export`; deliberately not imported here
 so runs without a server never load the HTTP layer).
 
-The CLI's ``repro obs`` answers three questions from these stores:
-``profile`` (where the time goes), ``runs`` and ``regress`` (which claim
-moved); why a run failed is its crash bundle, linked from ``runs show``.
+The CLI's ``repro obs`` has three commands: ``profile`` (where the
+time goes), ``runs`` (which headline metric moved between runs; why a
+run failed is its crash bundle, linked from ``runs show``) and
+``regress``, which runs the paper-claims table (:mod:`repro.sim.claims`)
+rather than reading these stores.
 
 Typical CLI wiring::
 

@@ -271,11 +271,7 @@ class AlertEngine:
         return {name: s.to_dict() for name, s in sorted(self._states.items())}
 
     def fired_alarms(self) -> List[dict]:
-        """Ledger-alarm dicts for every rule that fired at least once.
-
-        Shape mirrors :func:`repro.obs.regress.sync_health_alarms` entries
-        so ``RunRecord.alarms`` consumers see one vocabulary.
-        """
+        """Ledger-alarm dicts for every rule that fired at least once."""
         alarms = []
         for state in self._states.values():
             if state.fired_count == 0:
@@ -301,7 +297,10 @@ class AlertEngine:
 def builtin_rules() -> Tuple[AlertRule, ...]:
     """Default rules: §7.3 phase budgets, utilization floor, watchdog stalls.
 
-    The budget thresholds come straight from
+    The two budget rules are the one §7.3 judge: the live engine behind
+    ``--serve-port`` runs them, and so does the single end-of-run pass
+    that gives a plain ``repro simulate`` its ledger alarms.  The budget
+    thresholds come straight from
     :mod:`repro.core.phasesync` (imported lazily — this module stays
     importable without pulling the PHY stack at package-init time).
     """
@@ -310,12 +309,12 @@ def builtin_rules() -> Tuple[AlertRule, ...]:
         PHASE_ERROR_BUDGET_P95_RAD,
     )
 
-    rules: List[AlertRule] = []
-    for domain in ("fastsim", "mac"):
-        series = f"{domain}.phase_error_rad"
-        rules.append(AlertRule(
-            name=f"{domain}.phase_error_p50",
-            series=series,
+    # one histogram, one sample per slave per draw, covers every caller of
+    # the fast path's error model: the figure sweeps and `repro simulate`
+    rules: List[AlertRule] = [
+        AlertRule(
+            name="fastsim.phase_error_p50",
+            series="fastsim.phase_error_rad",
             kind="budget",
             stat="p50",
             op="above",
@@ -324,13 +323,13 @@ def builtin_rules() -> Tuple[AlertRule, ...]:
             min_count=8,
             severity="warning",
             description=(
-                "median lead/slave phase error above the paper's §7.3 "
+                "median per-slave phase error above the paper's §7.3 "
                 "median budget"
             ),
-        ))
-        rules.append(AlertRule(
-            name=f"{domain}.phase_error_p95",
-            series=series,
+        ),
+        AlertRule(
+            name="fastsim.phase_error_p95",
+            series="fastsim.phase_error_rad",
             kind="budget",
             stat="p95",
             op="above",
@@ -339,10 +338,11 @@ def builtin_rules() -> Tuple[AlertRule, ...]:
             min_count=8,
             severity="critical",
             description=(
-                "p95 lead/slave phase error above the §7.3 budget — "
+                "p95 per-slave phase error above the §7.3 budget — "
                 "joint-beamforming gains are collapsing"
             ),
-        ))
+        ),
+    ]
     rules.append(AlertRule(
         name="runtime.watchdog_stall",
         series="runtime.watchdog_stalls",  # a counter: its current value

@@ -25,7 +25,7 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 def openmetrics_name(name: str) -> str:
     """Fold a dotted metric name into the OpenMetrics charset.
 
-    ``mac.phase_error_rad`` becomes ``mac_phase_error_rad``; a leading
+    ``fastsim.phase_error_rad`` becomes ``fastsim_phase_error_rad``; a leading
     digit gains an underscore prefix.
     """
     out = _NAME_RE.sub("_", name)

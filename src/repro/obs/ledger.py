@@ -5,9 +5,8 @@ A trace and a metrics snapshot describe one run; the ledger makes runs
 :class:`RunRecord` — run id, git sha, config hash, master seed, platform,
 duration, headline metrics, artifact paths, alarms — to
 ``<runs_dir>/ledger.jsonl``.  ``repro obs runs list/show/diff`` queries
-it (``runs show`` links a failed run's crash bundle through its alarms)
-and :mod:`repro.obs.regress` compares records against a committed
-baseline.
+it (``runs show`` links a failed run's crash bundle through its alarms,
+``runs diff`` shows which headline metric moved between two runs).
 
 The file format is deliberately boring: one self-contained JSON object
 per line, append-only, truncation-safe (a half-written trailing line is
@@ -69,8 +68,8 @@ class RunRecord:
         metrics: Flat ``{name: float}`` headline metrics of the run.
         artifacts: ``{kind: path}`` of files the run produced
             (trace, metrics snapshot, checkpoint, ...).
-        alarms: Domain alarms raised during the run (e.g. the sync-health
-            monitor's phase-error-budget breach).
+        alarms: Domain alarms raised during the run (e.g. a §7.3
+            phase-error budget rule that fired, or a crash bundle).
     """
 
     run_id: str
@@ -163,7 +162,7 @@ class Ledger:
 
 
 # ---------------------------------------------------------------------------
-# Record comparison (``repro obs runs diff`` and regression detection)
+# Record comparison (``repro obs runs diff``)
 # ---------------------------------------------------------------------------
 
 
@@ -218,7 +217,7 @@ def summarize_alarms(alarms: List[Dict], max_width: int = 48) -> str:
 
     A bare count hid *what* went wrong; now that live alert rules append
     alarms too (:mod:`repro.obs.alerts`), the list table names them:
-    ``2: fastsim.phase_error_p95,mac.phase_error_p50``.  Truncated with
+    ``2: fastsim.phase_error_p50,fastsim.phase_error_p95``.  Truncated with
     an ellipsis past ``max_width``.
     """
     if not alarms:

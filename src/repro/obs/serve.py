@@ -44,7 +44,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 logger = get_logger("obs.serve")
 
 #: Exit code for "an alert rule fired" (``--serve-port ... --fail-on-alert``
-#: runs).  Distinct from the regress gate's 1 (breach) / 2 (no baseline).
+#: runs).  Distinct from ``repro obs regress``'s 1 (a claim check failed).
 EXIT_ALERT = 3
 
 #: Content type real OpenMetrics scrapers negotiate.

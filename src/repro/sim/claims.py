@@ -1,15 +1,17 @@
 """The paper's evaluation claims, one table.
 
-One :class:`Claim` per figure (Figs. 6-13) and per design ablation (§5,
-§9) gives the runner that reproduces it, the sizes ``repro report`` runs
-it at, the paper's statement, and the checks that statement implies.
-Each check is pinned to one exact runner call, seed and sizes included,
-so it asserts a bound on one reproducible draw.
+One :class:`Claim` per figure (Figs. 6-13), per design ablation (§5,
+§9) and for the §7.3 phase-error budget gives the runner that reproduces
+it, the sizes ``repro report`` runs it at, the paper's statement, and the
+checks that statement implies.  Each check is pinned to one exact runner
+call, seed and sizes included, so it asserts a bound on one reproducible
+draw.
 
-Three callers read the table: ``tests/integration/test_paper_claims.py``
-runs every check, ``repro report`` prints every claim at its report sizes
-under its paper statement, and the CLI takes each experiment's default
-seed from here (a claim's seed is its runner's default).
+Four callers read the table: ``tests/integration/test_paper_claims.py``
+and ``repro obs regress`` run every check, ``repro report`` prints every
+claim at its report sizes under its paper statement, and the CLI takes
+each experiment's default seed from here (a claim's seed is its runner's
+default).
 
 Runner calls are memoized on their arguments, so checks pinned to the
 same call, and derived figures such as Fig. 10 over Fig. 9's run, share
@@ -25,8 +27,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.phasesync import PHASE_ERROR_BUDGET_MEDIAN_RAD, PHASE_ERROR_BUDGET_P95_RAD
 from repro.sim import ablations as A
 from repro.sim import experiments as E
+from repro.sim.fastsim import run_slave_phase_errors
 from repro.sim.overhead import run_overhead_experiment
 
 
@@ -69,8 +73,8 @@ class Claim:
     """One figure or ablation of the paper's evaluation.
 
     Attributes:
-        key: Table key (``fig6`` ... ``fig13``, ``fig12_sample_level``, or
-            the ablation's CLI name).
+        key: Table key (``fig6`` ... ``fig13``, ``fig12_sample_level``,
+            ``budget``, or the ablation's CLI name).
         title: ``repro report`` banner; empty continues the previous one.
         runner: Reproduces the experiment; its ``seed`` default is the
             claim's seed.
@@ -375,8 +379,21 @@ _TABLE = (
         checks=(
             _check("throughput_aware_beats_fifo",
                    lambda r: np.mean(r.smart_bps) > np.mean(r.fifo_bps)
-                   and np.all(r.smart_bps >= r.fifo_bps - 1e-9),
+                   and np.all(r.smart_bps >= r.fifo_bps - 1e-9)
+                   and r.fifo_bps.max() > 0,
                    n_trials=15),
+        ),
+    ),
+    Claim(
+        key="budget", title="§7.3 — per-slave phase-error budget",
+        runner=run_slave_phase_errors, report=None,
+        paper=f"per-slave misalignment median <= {PHASE_ERROR_BUDGET_MEDIAN_RAD} rad, "
+              f"p95 <= {PHASE_ERROR_BUDGET_P95_RAD} rad",
+        checks=(
+            _check("median_within_budget",
+                   lambda r: np.median(r) <= PHASE_ERROR_BUDGET_MEDIAN_RAD, n_draws=1000),
+            _check("p95_within_budget",
+                   lambda r: np.percentile(r, 95) <= PHASE_ERROR_BUDGET_P95_RAD, n_draws=1000),
         ),
     ),
 )

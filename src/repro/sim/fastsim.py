@@ -34,16 +34,17 @@ from repro.utils.validation import require
 N_BINS = 52
 
 #: Environment variable multiplying every SyncErrorModel's phase sigma.
-#: A fault-injection knob for the regression harness: setting it to 2 in a
-#: `repro obs regress` CI run simulates a sync degradation and must trip
-#: the phase-error budget check (see docs/observability.md).  Unset or "1"
+#: A fault-injection knob: setting it to 2 simulates a sync degradation
+#: that must fail the ``budget`` claim of `repro obs regress` and fire the
+#: §7.3 budget alert rules (see docs/observability.md).  Unset or "1"
 #: leaves the calibrated model untouched.
 PHASE_SIGMA_SCALE_ENV = "REPRO_PHASE_SIGMA_SCALE"
 
 # module-level telemetry handles: these functions are the fast path of the
 # 20-topology figure sweeps, so the handles are resolved exactly once.  The
-# histogram's timestamped ring is what the §7.3 budget alert rules and
-# /timeseries read, so a degradation shows *during* the run.
+# histogram holds one sample per slave per draw; its timestamped ring is
+# what the §7.3 budget alert rules and /timeseries read, so a degradation
+# shows *during* the run.
 _OBS_PHASE_ERR = metrics.histogram("fastsim.phase_error_rad")
 _OBS_DRAWS = metrics.counter("fastsim.phase_error_draws")
 _OBS_ESTIMATES = metrics.counter("fastsim.estimates_corrupted")
@@ -82,7 +83,9 @@ class SyncErrorModel:
         """Draw per-TX-antenna phase errors for one joint transmission.
 
         Antennas sharing a device (``device_of``) share one error — they are
-        driven by one oscillator.  Device 0 is the lead.
+        driven by one oscillator.  Device 0 is the lead.  Each slave
+        device's |error| is one ``fastsim.phase_error_rad`` sample: the
+        §7.3 budget is stated per slave.
         """
         rng = ensure_rng(rng)
         if device_of is None:
@@ -90,14 +93,14 @@ class SyncErrorModel:
         device_of = np.asarray(device_of)
         n_devices = int(device_of.max()) + 1
         per_device = rng.normal(0.0, self.phase_sigma_rad, n_devices)
+        slaves = per_device
         if self.lead_is_perfect:
             per_device[0] = 0.0
-        errors = per_device[device_of]
+            slaves = per_device[1:]
         _OBS_DRAWS.inc()
-        if errors.size:
-            worst = float(np.max(np.abs(errors)))
-            _OBS_PHASE_ERR.observe(worst)
-        return errors
+        for err in np.abs(slaves).tolist():
+            _OBS_PHASE_ERR.observe(err)
+        return per_device[device_of]
 
     def corrupt_estimate(self, channels: np.ndarray, snr_db, rng) -> np.ndarray:
         """Add estimation noise to a channel tensor.
@@ -117,6 +120,20 @@ class SyncErrorModel:
         noise = complex_normal(rng, channels.shape, 1.0) * scale
         _OBS_ESTIMATES.inc()
         return channels + noise
+
+
+def run_slave_phase_errors(seed: int = 5, n_aps: int = 3, n_draws: int = 1000) -> np.ndarray:
+    """|phase error| of every slave over ``n_draws`` joint transmissions.
+
+    The draws of the §7.3 budget claim (:mod:`repro.sim.claims`): the
+    lead's error is zero by construction, so it is left out, as the
+    budget is stated per slave.
+    """
+    require(n_aps >= 2, "n_aps must be >= 2 (one lead, at least one slave)")
+    require(n_draws >= 1, "n_draws must be >= 1")
+    rng = ensure_rng(seed)
+    model = SyncErrorModel()
+    return np.abs(np.stack([model.phase_errors(n_aps, rng)[1:] for _ in range(n_draws)])).ravel()
 
 
 def draw_band_snrs(band: Tuple[float, float], n_clients: int, n_aps: int, rng,

@@ -192,14 +192,15 @@ class TestStateMachine:
 class TestBuiltinRules:
     def test_phase_budgets_match_the_paper_constants(self):
         rules = {r.name: r for r in builtin_rules()}
-        for domain in ("fastsim", "mac"):
-            p50 = rules[f"{domain}.phase_error_p50"]
-            p95 = rules[f"{domain}.phase_error_p95"]
-            assert p50.threshold == PHASE_ERROR_BUDGET_MEDIAN_RAD
-            assert p95.threshold == PHASE_ERROR_BUDGET_P95_RAD
-            assert p50.kind == p95.kind == "budget"
-            assert p95.severity == "critical"
-            assert p50.series == p95.series == f"{domain}.phase_error_rad"
+        budget = [r for r in rules.values() if r.kind == "budget"]
+        p50 = rules["fastsim.phase_error_p50"]
+        p95 = rules["fastsim.phase_error_p95"]
+        assert budget == [p50, p95]  # one §7.3 judge, over one histogram
+        assert p50.threshold == PHASE_ERROR_BUDGET_MEDIAN_RAD
+        assert p95.threshold == PHASE_ERROR_BUDGET_P95_RAD
+        assert p95.severity == "critical"
+        assert p50.series == p95.series == "fastsim.phase_error_rad"
+        assert p50.min_count == p95.min_count == 8
         floor = rules["runtime.worker_utilization_floor"]
         assert floor.op == "below" and floor.clear == 0.6
 
@@ -209,9 +210,7 @@ class TestBuiltinRules:
         fill(reg, "fastsim.phase_error_rad", [0.2] * 10, t0=0.0)
         transitions = engine.evaluate(reg, now=9.0)
         fired = {t["rule"] for t in transitions if t["status"] == "firing"}
-        assert "fastsim.phase_error_p95" in fired
-        assert "fastsim.phase_error_p50" in fired
-        assert "mac.phase_error_p50" not in fired  # no mac data
+        assert fired == {"fastsim.phase_error_p50", "fastsim.phase_error_p95"}
 
     def test_builtin_budgets_stay_quiet_within_budget(self):
         reg = MetricsRegistry()

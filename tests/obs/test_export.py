@@ -10,7 +10,7 @@ from repro.obs.metrics import MetricsRegistry
 
 class TestOpenMetricsNames:
     def test_dots_fold_to_underscores(self):
-        assert openmetrics_name("mac.phase_error_rad") == "mac_phase_error_rad"
+        assert openmetrics_name("fastsim.phase_error_rad") == "fastsim_phase_error_rad"
 
     def test_leading_digit_gets_prefix(self):
         assert openmetrics_name("95th.pct") == "_95th_pct"
@@ -21,7 +21,7 @@ class TestOpenMetricsText:
         reg = MetricsRegistry()
         reg.counter("runtime.chunks_run").inc(3)
         reg.gauge("sim.goodput_mbps").set(36.0)
-        hist = reg.histogram("mac.phase_error_rad")
+        hist = reg.histogram("fastsim.phase_error_rad")
         for v in (0.01, 0.02, 0.03, 0.04):
             hist.observe(v)
         return reg
@@ -31,9 +31,9 @@ class TestOpenMetricsText:
         assert "# TYPE runtime_chunks_run counter" in text
         assert "runtime_chunks_run_total 3" in text
         assert "sim_goodput_mbps 36" in text
-        assert "# TYPE mac_phase_error_rad summary" in text
-        assert 'mac_phase_error_rad{quantile="0.95"}' in text
-        assert "mac_phase_error_rad_count 4" in text
+        assert "# TYPE fastsim_phase_error_rad summary" in text
+        assert 'fastsim_phase_error_rad{quantile="0.95"}' in text
+        assert "fastsim_phase_error_rad_count 4" in text
         assert text.endswith("# EOF\n")
 
     def test_accepts_snapshot_dict(self):
@@ -54,7 +54,7 @@ class TestOpenMetricsText:
         text = metrics_to_openmetrics(self._registry())
         assert "# HELP runtime_chunks_run repro counter runtime.chunks_run" in text
         assert "# HELP sim_goodput_mbps repro gauge sim.goodput_mbps" in text
-        assert "# HELP mac_phase_error_rad repro histogram" in text
+        assert "# HELP fastsim_phase_error_rad repro histogram" in text
         for line in text.splitlines():
             if line.startswith("# TYPE "):
                 family = line.split(" ")[2]
@@ -73,7 +73,7 @@ class TestValidateOpenMetrics:
         reg = MetricsRegistry()
         reg.counter("runtime.chunks_run").inc(3)
         reg.gauge("sim.goodput_mbps").set(36.0)
-        reg.histogram("mac.phase_error_rad").observe(0.01)
+        reg.histogram("fastsim.phase_error_rad").observe(0.01)
         return reg
 
     def test_rendered_exposition_is_valid(self):

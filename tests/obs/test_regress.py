@@ -1,163 +1,105 @@
-"""Regression detection: comparison semantics, exit codes, sync health."""
+"""``repro obs regress`` over the claims table, and the one §7.3 judge."""
 
 import json
 
+import pytest
 
 from repro.cli import main
 from repro.core.phasesync import PHASE_ERROR_BUDGET_P95_RAD
+from repro.obs import metrics
+from repro.obs.alerts import AlertEngine, builtin_rules
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.regress import (
-    EXIT_BREACH,
-    EXIT_NO_BASELINE,
-    EXIT_OK,
-    SYNC_HEALTH_MIN_SAMPLES,
-    compare,
-    load_baseline,
-    make_baseline,
-    sync_health_alarms,
-    write_baseline,
-)
+from repro.sim import claims
+from repro.sim.claims import CLAIMS, Check, Claim
+from repro.sim.fastsim import PHASE_SIGMA_SCALE_ENV
 
 
-def baseline_doc(**checks) -> dict:
-    return {"schema": 1, "checks": checks}
+def _one(seed: int = 0) -> int:
+    return 1
 
 
-class TestCompare:
-    def test_within_tolerance_passes(self):
-        report = compare(
-            {"a": 1.05}, baseline_doc(a={"value": 1.0, "tol_rel": 0.1})
-        )
-        assert report.passed
-        assert report.checks[0].status == "ok"
-
-    def test_tolerance_is_max_of_abs_and_rel(self):
-        base = baseline_doc(a={"value": 10.0, "tol_abs": 0.5, "tol_rel": 0.2})
-        assert compare({"a": 11.9}, base).passed  # within 20% rel
-        assert not compare({"a": 12.5}, base).passed
-
-    def test_breach_names_the_metric(self):
-        report = compare(
-            {"a": 2.0}, baseline_doc(a={"value": 1.0, "tol_rel": 0.1})
-        )
-        assert not report.passed
-        assert report.breaches[0].metric == "a"
-        assert "FAILED" in report.format_table()
-        assert "a" in report.format_table()
-
-    def test_hard_max_breaches_even_within_tolerance(self):
-        base = baseline_doc(
-            p={"value": 0.03, "tol_rel": 5.0, "max": 0.05}
-        )
-        assert compare({"p": 0.04}, base).passed
-        report = compare({"p": 0.06}, base)
-        assert not report.passed
-        assert "hard max" in report.breaches[0].detail
-
-    def test_hard_min(self):
-        base = baseline_doc(speedup={"value": 2.0, "tol_rel": 5.0, "min": 1.0})
-        assert not compare({"speedup": 0.5}, base).passed
-
-    def test_informational_never_breaches(self):
-        base = baseline_doc(wall={"value": 1.0, "informational": True})
-        report = compare({"wall": 99.0}, base)
-        assert report.passed
-        assert report.checks[0].status == "info"
-
-    def test_missing_metric_fails_only_when_required(self):
-        base = baseline_doc(a={"value": 1.0, "tol_rel": 0.1})
-        strict = compare({}, base, require_all=True)
-        assert not strict.passed
-        assert strict.breaches[0].status == "missing"
-        assert compare({}, base, require_all=False).passed
-
-    def test_extra_current_metric_is_informational(self):
-        report = compare({"new.metric": 5.0}, baseline_doc())
-        assert report.passed
-        assert report.checks[0].detail == "not in baseline"
+def _raises(seed: int = 0) -> int:
+    raise ValueError("runner blew up")
 
 
-class TestBaselineFiles:
-    def test_write_then_load_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), {"sim.goodput_mbps": 28.5, "custom": 1.0})
-        doc = load_baseline(str(path))
-        assert doc["schema"] == 1
-        # known metric gets its curated tolerance, unknown the fallback
-        assert doc["checks"]["sim.goodput_mbps"]["tol_rel"] == 0.35
-        assert doc["checks"]["custom"]["tol_rel"] == 0.25
-        assert compare({"sim.goodput_mbps": 28.5, "custom": 1.0}, doc).passed
-
-    def test_load_missing_or_malformed_is_none(self, tmp_path):
-        assert load_baseline(str(tmp_path / "nope.json")) is None
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert load_baseline(str(bad)) is None
-        no_checks = tmp_path / "empty.json"
-        no_checks.write_text("{}")
-        assert load_baseline(str(no_checks)) is None
-
-    def test_phase_budget_is_a_hard_max(self):
-        doc = make_baseline({"sync.phase_error_p95_rad": 0.03})
-        spec = doc["checks"]["sync.phase_error_p95_rad"]
-        assert spec["max"] == PHASE_ERROR_BUDGET_P95_RAD
+def _claim(key: str, runner, holds) -> Claim:
+    return Claim(key=key, title="", runner=runner, paper="", report=None,
+                 checks=(Check(name="check", holds=holds, call={}),))
 
 
 class TestCliExitCodes:
-    """``repro obs regress`` via the real CLI, with --current files (fast)."""
+    """``repro obs regress`` via the real CLI, on a two-claim stub table."""
 
-    def _write(self, tmp_path, name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
+    def _regress(self, monkeypatch, capsys, *table):
+        monkeypatch.setattr(claims, "CLAIMS", {c.key: c for c in table})
+        code = main(["obs", "regress"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
 
-    def test_pass_breach_and_missing_baseline(self, tmp_path, capsys):
-        baseline = self._write(
-            tmp_path, "baseline.json",
-            baseline_doc(**{"sim.goodput_mbps": {"value": 28.0, "tol_rel": 0.1}}),
-        )
-        ok = self._write(tmp_path, "ok.json", {"sim.goodput_mbps": 28.5})
-        bad = self._write(tmp_path, "bad.json", {"sim.goodput_mbps": 14.0})
+    def test_pass_breach_and_missing_baseline(self, monkeypatch, capsys):
+        # the baseline file is gone; its failure mode, a check that cannot
+        # be evaluated, is now a runner that raises
+        ok = _claim("a", _one, lambda r: r == 1)
+        code, out, _ = self._regress(monkeypatch, capsys, ok, _claim("b", _one, lambda r: r == 1))
+        assert code == 0
+        assert "regress passed: all 2 checks hold" in out
 
-        assert main(["obs", "regress", "--baseline", baseline,
-                     "--current", ok]) == EXIT_OK
-        assert main(["obs", "regress", "--baseline", baseline,
-                     "--current", bad]) == EXIT_BREACH
-        out = capsys.readouterr().out
-        assert "sim.goodput_mbps" in out  # breached metric named on stdout
-        assert main(["obs", "regress",
-                     "--baseline", str(tmp_path / "missing.json"),
-                     "--current", ok]) == EXIT_NO_BASELINE
+        code, out, _ = self._regress(monkeypatch, capsys, ok, _claim("b", _one, lambda r: r == 2))
+        assert code == 1
+        assert "BREACH" in out and "b/check" in out.splitlines()[-1]
 
-    def test_update_baseline_writes_file(self, tmp_path):
-        current = self._write(tmp_path, "cur.json", {"a": 1.0})
-        baseline = tmp_path / "new_baseline.json"
-        assert main(["obs", "regress", "--baseline", str(baseline),
-                     "--current", current, "--update-baseline"]) == EXIT_OK
-        assert load_baseline(str(baseline))["checks"]["a"]["value"] == 1.0
+        code, out, err = self._regress(monkeypatch, capsys, ok, _claim("c", _raises, bool))
+        assert code == 1
+        assert "ERROR ValueError: runner blew up" in out
+        assert "Traceback" not in out + err
+
+
+class TestBudgetClaim:
+    def test_doubled_phase_noise_breaches_both_checks(self, monkeypatch):
+        # the runner itself, not Claim.holds: memoized results ignore the
+        # environment, so they would return the clean draw
+        monkeypatch.setenv(PHASE_SIGMA_SCALE_ENV, "2")
+        claim = CLAIMS["budget"]
+        for check in claim.checks:
+            result = claim.runner(**{"seed": claim.seed, **check.call})
+            assert not check.holds(result), check.name
+
+
+@pytest.fixture
+def clean_registry():
+    metrics.reset()
+    yield
+    metrics.reset()
+
+
+def _simulate_alarms(tmp_path) -> list:
+    assert main(["simulate", "--n-aps", "3", "--n-clients", "3",
+                 "--duration", "0.2", "--seed", "5"]) == 0
+    record = (tmp_path / "runs" / "ledger.jsonl").read_text().splitlines()[-1]
+    return json.loads(record)["alarms"]
 
 
 class TestSyncHealth:
-    def _registry_with(self, p95_scale: float) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        hist = reg.histogram("mac.phase_error_rad")
-        for i in range(SYNC_HEALTH_MIN_SAMPLES + 5):
-            hist.observe(p95_scale * PHASE_ERROR_BUDGET_P95_RAD)
-        return reg
+    """``repro simulate`` judges the §7.3 budget rules once at the end."""
 
-    def test_alarm_on_budget_breach(self):
-        alarms = sync_health_alarms(self._registry_with(2.0))
-        (alarm,) = alarms
-        assert alarm["kind"] == "sync_health"
-        assert alarm["metric"] == "mac.phase_error_rad"
-        assert alarm["p95_rad"] > alarm["budget_rad"]
+    def test_alarm_on_budget_breach(self, clean_registry, tmp_path, monkeypatch):
+        monkeypatch.setenv(PHASE_SIGMA_SCALE_ENV, "2")
+        alarms = {a["rule"]: a for a in _simulate_alarms(tmp_path)}
+        assert set(alarms) == {"fastsim.phase_error_p50", "fastsim.phase_error_p95"}
+        p95 = alarms["fastsim.phase_error_p95"]
+        assert p95["kind"] == "alert_budget"
+        assert p95["metric"] == "fastsim.phase_error_rad"
+        assert p95["value"] > p95["threshold"] == PHASE_ERROR_BUDGET_P95_RAD
 
-    def test_quiet_within_budget(self):
-        assert sync_health_alarms(self._registry_with(0.5)) == []
+    def test_quiet_within_budget(self, clean_registry, tmp_path):
+        assert _simulate_alarms(tmp_path) == []
 
     def test_quiet_with_too_few_samples(self):
         reg = MetricsRegistry()
-        hist = reg.histogram("mac.phase_error_rad")
-        for _ in range(SYNC_HEALTH_MIN_SAMPLES - 1):
+        hist = reg.histogram("fastsim.phase_error_rad")
+        floor = min(r.min_count for r in builtin_rules() if r.kind == "budget")
+        for _ in range(floor - 1):
             hist.observe(10 * PHASE_ERROR_BUDGET_P95_RAD)
-        assert sync_health_alarms(reg) == []
+        engine = AlertEngine(builtin_rules())
+        assert engine.evaluate(reg) == []
+        assert engine.fired_alarms() == []

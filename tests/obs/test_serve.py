@@ -18,7 +18,7 @@ def server():
     registry = MetricsRegistry()
     registry.counter("runtime.chunks_run").inc(3)
     registry.gauge("sim.goodput_mbps").set(36.0)
-    registry.histogram("mac.phase_error_rad").observe(0.01)
+    registry.histogram("fastsim.phase_error_rad").observe(0.01)
     engine = AlertEngine([
         AlertRule(name="test.err_budget", series="sim.err",
                   kind="budget", stat="last", threshold=0.05),
@@ -96,7 +96,7 @@ class TestEndpoints:
         series = fetch_json(server.url + "/timeseries")["series"]
         assert series["runtime.chunks_run"] == {"type": "counter", "last": 3.0}
         assert series["sim.goodput_mbps"]["last"] == 36.0
-        assert series["mac.phase_error_rad"]["p95"] == pytest.approx(0.01)
+        assert series["fastsim.phase_error_rad"]["p95"] == pytest.approx(0.01)
 
     def test_stop_is_idempotent(self, server):
         server.stop()
