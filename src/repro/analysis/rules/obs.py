@@ -4,8 +4,8 @@ The tracer's span records are only exception-safe when spans are entered
 through ``with`` (``Span.__exit__`` emits the record; a span that is never
 exited is silently lost, and one exited manually can mis-nest the stack).
 Metric names must follow the registered ``dotted.name`` convention —
-``component.metric`` lowercase with underscores — because the summarizer's
-glob filters, the OpenMetrics exporter and the alert rules all key on
+``component.metric`` lowercase with underscores — because the profiler's
+glob filters, the ``--metrics`` snapshot and the alert rules all key on
 that shape (see ``docs/observability.md``).
 """
 
@@ -82,7 +82,7 @@ class MetricNameConvention(Rule):
     severity = Severity.ERROR
     summary = (
         "metric registered with a name outside the dotted.name convention "
-        "(lowercase component.metric); breaks glob filters and exporters"
+        "(lowercase component.metric); breaks glob filters and alert rules"
     )
 
     def check(self, src: ModuleSource) -> Iterator:
@@ -160,9 +160,9 @@ class AlertRuleNameConvention(Rule):
     """Alert-rule names should follow the same ``domain.metric`` shape.
 
     Alert rules (:class:`repro.obs.alerts.AlertRule`) land in ledger
-    alarms, trace events and the ``/alerts`` endpoint next to metric
-    names; a rule named ``PhaseBudget!`` breaks the same glob filters and
-    family grouping OBS002 protects for metrics.  Rules built with a
+    alarms and ``obs.alert`` trace events next to metric names; a rule
+    named ``PhaseBudget!`` breaks the same glob filters and family
+    grouping OBS002 protects for metrics.  Rules built with a
     dynamic name get the equivalent check at construction time
     (``AlertRule`` warns); this covers the literal names at python call
     sites.  Advice-only: experimental rule names in notebooks/scripts
@@ -202,8 +202,8 @@ class AlertRuleNameConvention(Rule):
             yield self.violation(
                 src, node,
                 f"alert rule name {name_node.value!r} does not match the "
-                f"dotted domain.metric convention; alarms and /alerts "
-                f"group by that shape (see docs/static_analysis.md)",
+                f"dotted domain.metric convention; ledger alarms group "
+                f"by that shape (see docs/static_analysis.md)",
             )
 
 

@@ -24,7 +24,12 @@ Run commands (``figure``/``ablation``/``simulate``/``quickstart``/
 ``report``) additionally append a :class:`repro.obs.ledger.RunRecord` —
 git sha, config hash, master seed, duration, headline metrics, alarms —
 to the run ledger (``runs/ledger.jsonl`` by default; ``--ledger DIR`` or
-``$REPRO_RUNS_DIR`` to relocate, ``--no-ledger`` to skip).
+``$REPRO_RUNS_DIR`` to relocate, ``--no-ledger`` to skip).  Each run
+command ends with one pass of the built-in alert rules
+(:func:`repro.obs.alerts.builtin_rules`, the §7.3 phase-error budget)
+over the run's metrics: fired rules become ledger alarms, a critical one
+writes a ``critical_alert`` crash bundle, and ``--fail-on-alert`` turns
+a firing into exit code 3.
 
 ``repro obs`` has three commands: ``profile`` (where a traced run's
 time went), ``runs list/show/diff`` (which claim moved between runs;
@@ -49,6 +54,10 @@ logger = get_logger(__name__)
 
 #: Commands whose invocations land in the run ledger.
 RUN_COMMANDS = ("figure", "ablation", "simulate", "quickstart", "report")
+
+#: Exit code for "an alert rule fired" (``--fail-on-alert``).  Distinct
+#: from ``repro obs regress``'s 1 (a claim check failed).
+EXIT_ALERT = 3
 
 
 @dataclass
@@ -90,14 +99,9 @@ def _common_options() -> argparse.ArgumentParser:
         help="do not append this run to the ledger",
     )
     group.add_argument(
-        "--serve-port", type=int, default=None, metavar="PORT",
-        help="serve live telemetry (/metrics /timeseries /alerts) "
-             "on 127.0.0.1:PORT while the command runs (0 = ephemeral port)",
-    )
-    group.add_argument(
         "--fail-on-alert", action="store_true",
-        help="exit 3 when any alert rule fired during the run "
-             "(requires --serve-port)",
+        help="exit 3 when an alert rule fires in the end-of-run judge "
+             "(run commands)",
     )
     group.add_argument(
         "-v", "--verbose", action="count", default=0,
@@ -377,14 +381,6 @@ def _run_simulate(args, ctx: RunContext) -> int:
     }
     ctx.master_seed = config.seed
     ctx.headline = sim_trace.headline()
-    if args.serve_port is None:
-        # the §7.3 budget rules, judged once at the end of the run; under
-        # --serve-port the live engine judges them and records its alarms
-        from repro.obs.alerts import AlertEngine, builtin_rules
-
-        engine = AlertEngine(builtin_rules())
-        engine.evaluate(metrics.get_registry())
-        ctx.alarms = engine.fired_alarms()
     print(sim_trace.format_summary())
     return 0
 
@@ -631,14 +627,37 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
 
+def _judge_run(args, ctx: RunContext, code: int) -> int:
+    """The end-of-run alert judge: one pass of the built-in rules.
+
+    Fired rules become ledger alarms; a critical one writes the run's
+    ``critical_alert`` crash bundle (unless a stall, signal or exception
+    already wrote one); under ``--fail-on-alert`` a firing turns a
+    successful run into :data:`EXIT_ALERT`.
+    """
+    from repro.obs import blackbox
+    from repro.obs.alerts import AlertEngine, builtin_rules
+
+    fired = AlertEngine(builtin_rules()).evaluate(metrics.get_registry())
+    ctx.alarms.extend(fired)
+    critical = [a["rule"] for a in fired if a["severity"] == "critical"]
+    if critical and blackbox.pending_bundles() == 0:
+        blackbox.write_crash_bundle(
+            "critical_alert", runs_dir=args.ledger, detail={"rules": critical},
+        )
+    if fired and args.fail_on_alert and code == 0:
+        logger.error(
+            "alert rules fired during the run: %s",
+            ", ".join(a["rule"] for a in fired),
+        )
+        return EXIT_ALERT
+    return code
+
+
 def _main(argv: Optional[List[str]]) -> int:
     argv_list = list(argv) if argv is not None else sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv_list)
-    if args.fail_on_alert and args.serve_port is None:
-        # without a server no alert engine runs, so the flag would be a
-        # silent pass
-        parser.error("--fail-on-alert requires --serve-port")
     setup_logging(verbosity=args.verbose - args.quiet)
     if args.trace:
         try:
@@ -647,19 +666,6 @@ def _main(argv: Optional[List[str]]) -> int:
             logger.error("cannot open trace file: %s", exc)
             return 1
         logger.info("tracing to %s", args.trace)
-    server = None
-    if args.command in RUN_COMMANDS and args.serve_port is not None:
-        from repro.obs.serve import TelemetryServer
-
-        try:
-            server = TelemetryServer(port=args.serve_port).start()
-        except OSError as exc:
-            logger.error("cannot start telemetry server: %s", exc)
-            return 1
-        # the endpoint location is the whole point of the flag: always
-        # announce it (stderr, so stdout tables stay clean)
-        sys.stderr.write(f"serving live telemetry on {server.url}\n")
-        sys.stderr.flush()
     ctx = RunContext()
     started = time.time()
     run_timer = metrics.timer("cli.command_s").start()
@@ -668,6 +674,8 @@ def _main(argv: Optional[List[str]]) -> int:
     guard = None
     is_run = args.command in RUN_COMMANDS
     if is_run:
+        # the end-of-run judge reads this run's samples only
+        metrics.reset()
         # Crash forensics: mint the ledger run id *now* (not at record
         # time) so any bundle written mid-run — watchdog stall, signal,
         # unhandled exception — lands in runs/crash-<runid>/ with the
@@ -695,37 +703,15 @@ def _main(argv: Optional[List[str]]) -> int:
                 )
             raise
         status = "ok" if code == 0 else "error"
-        if server is not None:
-            server.stop()  # final alert evaluation before judging the run
-            fired = server.engine.fired_alarms()
-            critical = [a for a in fired if a.get("severity") == "critical"]
-            if critical and is_run:
-                from repro.obs import blackbox
-
-                # one bundle per run: a stall/signal/exception already
-                # snapshotted the same final seconds
-                if blackbox.pending_bundles() == 0:
-                    blackbox.write_crash_bundle(
-                        "critical_alert", runs_dir=args.ledger,
-                        detail={"rules": [a.get("rule") for a in critical]},
-                    )
-            if fired and args.fail_on_alert and code == 0:
-                from repro.obs.serve import EXIT_ALERT
-
-                logger.error(
-                    "alert rules fired during the run: %s",
-                    ", ".join(a["rule"] for a in fired),
-                )
+        if is_run:
+            # judged while the trace is still open, so the obs.alert
+            # events land in it
+            code = _judge_run(args, ctx, code)
+            if code == EXIT_ALERT:
                 status = "alert"
-                code = EXIT_ALERT
         return code
     finally:
         run_timer.stop()
-        if server is not None:
-            # exception path: stop (idempotent) while the trace is still
-            # open so the engine's final obs.alert events land in it
-            server.stop()
-            ctx.alarms.extend(server.engine.fired_alarms())
         if guard is not None:
             guard.__exit__(None, None, None)
         if is_run:

@@ -1,45 +1,26 @@
-"""Declarative alert rules evaluated live over the metrics registry.
+"""Declarative alert rules, judged once at the end of every run command.
 
 JMB's operating point degrades *quietly*: §7.3 shows joint-beamforming
-gains collapse once the lead/slave phase error leaves a narrow budget, and
-a sweep whose worker pool half-stalls still finishes — just late.  Both
-failure modes are invisible in an exit snapshot and obvious in a live
-window.  This module turns windows into verdicts.
+gains collapse once the lead/slave phase error leaves a narrow budget,
+and a run with degraded sync still finishes and prints plausible tables.
 
-An :class:`AlertRule` names a metric in the
-:class:`~repro.obs.metrics.MetricsRegistry`, a statistic, a comparison
-and a threshold.  A histogram gives the statistic over its samples of
-the last ``window_s`` seconds (its timestamped ring); a counter or gauge
-gives its current value.  Two rule kinds share that shape:
-
-* ``threshold`` — plain comparison of the statistic against the bound.
-* ``budget`` — identical mechanics, but the bound is a *paper budget*
-  (the built-in §7.3 phase-error rules use
-  ``PHASE_ERROR_BUDGET_{MEDIAN,P95}_RAD`` from :mod:`repro.core.phasesync`);
-  kept distinct so ledger alarms and dashboards can tell "tuning knob"
-  from "reproduction-invalidating breach".
-
-Two anti-flap mechanisms, both opt-in per rule:
-
-* **for-duration debouncing** (``for_s``): a breach must persist — the
-  rule sits in ``pending`` until the condition has held ``for_s``
-  seconds, only then transitions to ``firing``.
-* **hysteresis** (``clear``): once firing, the rule clears only when the
-  statistic crosses the ``clear`` level (defaults to the threshold), so a
-  value oscillating around the bound does not strobe.
-
-:class:`AlertEngine` owns the rule set and the ok/pending/firing state
-machine; every transition becomes one ``obs.alert`` event (flight
-recorder and trace, see :func:`repro.obs.flightrec.emit`) and a
-logger line.
+An :class:`AlertRule` compares a statistic of one registry metric with a
+threshold.  ``budget`` rules (the §7.3 phase-error budgets of
+:mod:`repro.core.phasesync`) work like ``threshold`` rules; the kind lets
+ledger alarms tell a tuning knob from a reproduction-invalidating breach.
+:class:`AlertEngine` runs one pass over the registry after a run command
+finishes (``repro.cli``): every rule that fires becomes a ledger alarm,
+one ``obs.alert`` event (see :func:`repro.obs.flightrec.emit`) and a
+logger line.  Pool workers' samples reach the parent registry through
+the sweep engine's chunk envelopes, so a pool run is judged like an
+in-parent one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.obs.flightrec import emit
 from repro.obs.logging import get_logger
@@ -47,14 +28,15 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 
 logger = get_logger("obs.alerts")
 
-#: Recognised rule kinds / statistics / comparison directions.
+#: Recognised rule kinds / statistics / comparison directions / severities.
 KINDS = ("threshold", "budget")
 STATS = ("last", "mean", "min", "max", "p50", "p95")
 OPS = ("above", "below")
+SEVERITIES = ("warning", "critical")
 
 #: Rule names follow the ``domain.metric`` convention that OBS002 enforces
 #: for metric names (and OBS004 advises for alert rules): lowercase dotted
-#: segments, so ledger alarms and exported series sort into families.
+#: segments, so ledger alarms sort into families.
 RULE_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 
 
@@ -67,18 +49,14 @@ class AlertRule:
         series: Name of the metric the rule watches.
         threshold: Bound the statistic is compared against.
         kind: ``threshold`` | ``budget``.
-        stat: Windowed statistic of a histogram (a counter or gauge
-            always gives its current value).
+        stat: Statistic of a histogram's retained samples (a counter or
+            gauge always gives its current value).
         op: ``above`` fires when value > threshold, ``below`` when <.
-        clear: Hysteresis level the value must re-cross to clear a firing
-            rule; defaults to ``threshold`` (no hysteresis).
-        for_s: Seconds a breach must persist before ``pending`` becomes
-            ``firing`` (0 = fire immediately).
-        window_s: Lookback window a histogram's statistic covers.
-        min_count: Histogram samples required in the window before the
-            rule judges at all (insufficient data reads as ``ok``).
-        severity: ``warning`` or ``critical`` (advisory; ledger-visible).
-        description: Human explanation shown by ``/alerts`` and ``watch``.
+        min_count: Histogram samples required before the rule judges at
+            all (too few samples read as not fired).
+        severity: ``warning`` or ``critical``; a critical rule that fires
+            writes a ``critical_alert`` crash bundle.
+        description: Human explanation carried into logs.
     """
 
     name: str
@@ -87,9 +65,6 @@ class AlertRule:
     kind: str = "threshold"
     stat: str = "last"
     op: str = "above"
-    clear: Optional[float] = None
-    for_s: float = 0.0
-    window_s: float = 30.0
     min_count: int = 1
     severity: str = "warning"
     description: str = ""
@@ -101,8 +76,10 @@ class AlertRule:
             raise ValueError(f"unknown alert stat {self.stat!r} (want {STATS})")
         if self.op not in OPS:
             raise ValueError(f"unknown alert op {self.op!r} (want {OPS})")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be > 0")
+        if self.severity not in SEVERITIES:
+            raise ValueError(
+                f"unknown alert severity {self.severity!r} (want {SEVERITIES})"
+            )
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")
         if not RULE_NAME_RE.match(self.name):
@@ -111,182 +88,67 @@ class AlertRule:
                 "convention (see lint rule OBS004)", self.name,
             )
 
-    def clear_level(self) -> float:
-        return self.threshold if self.clear is None else self.clear
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-class AlertState:
-    """Mutable evaluation state for one rule: ok -> pending -> firing."""
-
-    __slots__ = ("rule", "status", "since", "value", "fired_count",
-                 "worst_value", "last_transition_ts")
-
-    def __init__(self, rule: AlertRule):
-        self.rule = rule
-        self.status = "ok"
-        self.since: Optional[float] = None  # breach onset (pending/firing)
-        self.value: Optional[float] = None
-        self.fired_count = 0
-        self.worst_value: Optional[float] = None
-        self.last_transition_ts: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule.name,
-            "series": self.rule.series,
-            "kind": self.rule.kind,
-            "stat": self.rule.stat,
-            "op": self.rule.op,
-            "threshold": self.rule.threshold,
-            "severity": self.rule.severity,
-            "status": self.status,
-            "since": self.since,
-            "value": self.value,
-            "fired_count": self.fired_count,
-            "worst_value": self.worst_value,
-            "description": self.rule.description,
-        }
-
-
 class AlertEngine:
-    """Evaluates a rule set against a registry; owns per-rule state machines."""
+    """Judges a rule set against a registry, once per run."""
 
     def __init__(self, rules: Sequence[AlertRule]):
-        self._states: Dict[str, AlertState] = {
-            r.name: AlertState(r) for r in rules
-        }
-
-    @property
-    def rules(self) -> List[AlertRule]:
-        return [s.rule for s in self._states.values()]
-
-    def state(self, name: str) -> Optional[AlertState]:
-        return self._states.get(name)
-
-    # -- evaluation ------------------------------------------------------------
+        self.rules: Tuple[AlertRule, ...] = tuple(rules)
+        self._fired: List[dict] = []
 
     @staticmethod
-    def _rule_value(
-        rule: AlertRule, registry: MetricsRegistry, now: float
-    ) -> Optional[float]:
-        """The rule's statistic; None = not enough data."""
+    def _rule_value(rule: AlertRule, registry: MetricsRegistry) -> Optional[float]:
+        """The rule's statistic; None = no metric or too few samples."""
         metric = registry.get(rule.series)
         if metric is None:
             return None
         if not isinstance(metric, Histogram):
             return metric.value
-        roll = metric.rollup(since=now - rule.window_s)
+        roll = metric.series.rollup()
         if roll["count"] < rule.min_count:
             return None
         return float(roll[rule.stat])
 
-    @staticmethod
-    def _breached(rule: AlertRule, value: float) -> bool:
-        return value > rule.threshold if rule.op == "above" else value < rule.threshold
+    def evaluate(self, registry: MetricsRegistry) -> List[dict]:
+        """One pass over every rule; returns the ledger alarms of those that fired.
 
-    @staticmethod
-    def _cleared(rule: AlertRule, value: float) -> bool:
-        level = rule.clear_level()
-        return value <= level if rule.op == "above" else value >= level
-
-    def evaluate(
-        self, registry: MetricsRegistry, now: Optional[float] = None
-    ) -> List[dict]:
-        """One evaluation pass; returns the list of state *transitions*.
-
-        Each transition dict carries ``rule``/``series``/``status`` (the
-        new state), ``previous``, the triggering ``value`` and the rule's
-        threshold/severity — the exact payload of the ``obs.alert`` events,
-        and what ledger alarms are built from.
+        Each alarm carries ``kind`` (``alert_<rule kind>``), ``rule``,
+        ``metric``, ``stat``, the breaching ``value``, ``threshold`` and
+        ``severity`` — the payload of its ``obs.alert`` event too.
         """
-        if now is None:
-            now = time.time()
-        transitions: List[dict] = []
-        for state in self._states.values():
-            rule = state.rule
-            value = self._rule_value(rule, registry, now)
-            state.value = value
+        fired: List[dict] = []
+        for rule in self.rules:
+            value = self._rule_value(rule, registry)
             if value is None:
-                continue  # insufficient data: hold current status
-            if state.status in ("pending", "firing"):
-                if state.worst_value is None:
-                    state.worst_value = value
-                elif rule.op == "above":
-                    state.worst_value = max(state.worst_value, value)
-                else:
-                    state.worst_value = min(state.worst_value, value)
-            new_status = state.status
-            if state.status == "ok":
-                if self._breached(rule, value):
-                    new_status = "firing" if rule.for_s <= 0 else "pending"
-                    state.since = now
-                    state.worst_value = value
-            elif state.status == "pending":
-                if self._cleared(rule, value):
-                    new_status = "ok"
-                    state.since = None
-                elif state.since is not None and now - state.since >= rule.for_s:
-                    new_status = "firing"
-            elif state.status == "firing":
-                if self._cleared(rule, value):
-                    new_status = "ok"
-                    state.since = None
-            if new_status == state.status:
                 continue
-            previous, state.status = state.status, new_status
-            state.last_transition_ts = now
-            if new_status == "firing":
-                state.fired_count += 1
-            transition = {
-                "ts": now,
+            breached = value > rule.threshold if rule.op == "above" else value < rule.threshold
+            if not breached:
+                continue
+            alarm = {
+                "kind": f"alert_{rule.kind}",
                 "rule": rule.name,
-                "series": rule.series,
-                "kind": rule.kind,
-                "status": new_status,
-                "previous": previous,
+                "metric": rule.series,
+                "stat": rule.stat,
                 "value": value,
                 "threshold": rule.threshold,
                 "severity": rule.severity,
-                "description": rule.description,
             }
-            transitions.append(transition)
-            emit("obs.alert", transition, ts=now)
-            log = logger.warning if new_status == "firing" else logger.info
-            log(
-                "alert %s: %s -> %s (%s %s=%0.6g vs threshold %0.6g)",
-                rule.name, previous, new_status, rule.series, rule.stat,
-                value, rule.threshold,
+            fired.append(alarm)
+            emit("obs.alert", alarm)
+            logger.warning(
+                "alert %s fired (%s %s=%0.6g vs threshold %0.6g)%s",
+                rule.name, rule.series, rule.stat, value, rule.threshold,
+                f": {rule.description}" if rule.description else "",
             )
-        return transitions
-
-    # -- views -----------------------------------------------------------------
-
-    def firing(self) -> List[dict]:
-        return [s.to_dict() for s in self._states.values() if s.status == "firing"]
-
-    def to_dict(self) -> dict:
-        return {name: s.to_dict() for name, s in sorted(self._states.items())}
+        self._fired = fired
+        return fired
 
     def fired_alarms(self) -> List[dict]:
-        """Ledger-alarm dicts for every rule that fired at least once."""
-        alarms = []
-        for state in self._states.values():
-            if state.fired_count == 0:
-                continue
-            alarms.append({
-                "kind": f"alert_{state.rule.kind}",
-                "rule": state.rule.name,
-                "metric": state.rule.series,
-                "stat": state.rule.stat,
-                "value": state.worst_value,
-                "threshold": state.rule.threshold,
-                "severity": state.rule.severity,
-                "count": state.fired_count,
-            })
-        return alarms
+        """The ledger alarms of the last :meth:`evaluate` pass."""
+        return list(self._fired)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +157,10 @@ class AlertEngine:
 
 
 def builtin_rules() -> Tuple[AlertRule, ...]:
-    """Default rules: §7.3 phase budgets, utilization floor, watchdog stalls.
+    """Default rules: the §7.3 phase budgets and watchdog stalls.
 
-    The two budget rules are the one §7.3 judge: the live engine behind
-    ``--serve-port`` runs them, and so does the single end-of-run pass
-    that gives a plain ``repro simulate`` its ledger alarms.  The budget
-    thresholds come straight from
-    :mod:`repro.core.phasesync` (imported lazily — this module stays
-    importable without pulling the PHY stack at package-init time).
+    The budget thresholds come from :mod:`repro.core.phasesync`, imported
+    lazily so this module stays importable without the PHY stack.
     """
     from repro.core.phasesync import (
         PHASE_ERROR_BUDGET_MEDIAN_RAD,
@@ -311,17 +169,14 @@ def builtin_rules() -> Tuple[AlertRule, ...]:
 
     # one histogram, one sample per slave per draw, covers every caller of
     # the fast path's error model: the figure sweeps and `repro simulate`
-    rules: List[AlertRule] = [
+    return (
         AlertRule(
             name="fastsim.phase_error_p50",
             series="fastsim.phase_error_rad",
             kind="budget",
             stat="p50",
-            op="above",
             threshold=PHASE_ERROR_BUDGET_MEDIAN_RAD,
-            window_s=60.0,
             min_count=8,
-            severity="warning",
             description=(
                 "median per-slave phase error above the paper's §7.3 "
                 "median budget"
@@ -332,9 +187,7 @@ def builtin_rules() -> Tuple[AlertRule, ...]:
             series="fastsim.phase_error_rad",
             kind="budget",
             stat="p95",
-            op="above",
             threshold=PHASE_ERROR_BUDGET_P95_RAD,
-            window_s=60.0,
             min_count=8,
             severity="critical",
             description=(
@@ -342,33 +195,15 @@ def builtin_rules() -> Tuple[AlertRule, ...]:
                 "joint-beamforming gains are collapsing"
             ),
         ),
-    ]
-    rules.append(AlertRule(
-        name="runtime.watchdog_stall",
-        series="runtime.watchdog_stalls",  # a counter: its current value
-        threshold=0.0,
-        severity="critical",
-        description=(
-            "the worker watchdog declared a stalled chunk — a hung "
-            "worker was abandoned and its work re-run serially; see the "
-            "runs/crash-<runid>/ forensics bundle"
+        AlertRule(
+            name="runtime.watchdog_stall",
+            series="runtime.watchdog_stalls",  # a counter: its current value
+            threshold=0.0,
+            severity="critical",
+            description=(
+                "the worker watchdog declared a stalled chunk — a hung "
+                "worker was abandoned and its work re-run serially; see the "
+                "runs/crash-<runid>/ forensics bundle"
+            ),
         ),
-    ))
-    rules.append(AlertRule(
-        name="runtime.worker_utilization_floor",
-        series="runtime.worker_utilization",
-        kind="threshold",
-        stat="mean",
-        op="below",
-        threshold=0.5,
-        clear=0.6,
-        for_s=5.0,
-        window_s=20.0,
-        min_count=4,
-        severity="warning",
-        description=(
-            "worker pool running below half busy for 5s — dispatch "
-            "starvation or a straggler tail"
-        ),
-    ))
-    return tuple(rules)
+    )

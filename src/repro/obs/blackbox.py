@@ -54,16 +54,6 @@ BUNDLE_SCHEMA = 1
 #: Bundle directory prefix under the runs dir.
 BUNDLE_PREFIX = "crash-"
 
-#: The triggers a bundle records (free-form, but these are the built-ins).
-REASONS = (
-    "sweep_error",
-    "unhandled_exception",
-    "signal",
-    "watchdog_stall",
-    "critical_alert",
-)
-
-
 @dataclass
 class RunBlackboxContext:
     """Identity of the current run, shared by every bundle trigger."""
@@ -110,10 +100,6 @@ def clear_run_context() -> None:
     """Reset the run context (tests; end of a CLI invocation)."""
     global _CONTEXT
     _CONTEXT = RunBlackboxContext()
-
-
-def current_run_id() -> Optional[str]:
-    return _CONTEXT.run_id
 
 
 def drain_bundles() -> List[Dict[str, Any]]:

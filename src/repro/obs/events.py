@@ -27,8 +27,6 @@ import numpy as np
 #: Version stamped into each trace's meta record; bump on breaking changes.
 SCHEMA_VERSION = 1
 
-RECORD_TYPES = ("meta", "span", "event")
-
 
 def jsonable(obj):
     """Best-effort conversion of an attribute payload to JSON-safe types."""
@@ -63,13 +61,10 @@ class JsonlWriter:
             self._owns = False
 
     def write(self, record: dict) -> None:
-        # One write() call per record: concurrent writers (the engine,
-        # watchdog and alert-evaluator threads share one sink) must never
+        # One write() call per record: concurrent writers (the engine and
+        # watchdog threads share one sink) must never
         # interleave a record with another record's newline.
         self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-    def flush(self) -> None:
-        self._file.flush()
 
     def close(self) -> None:
         if self._owns:

@@ -1,8 +1,8 @@
 """The event ring: one call that feeds the flight recorder and the trace.
 
 Numbers live in the metrics registry (:mod:`repro.obs.metrics`); *events*
-— a finished chunk, a progress tick, a watchdog stall, an alert
-transition — live here.  :meth:`FlightRecorder.record` (module-level
+— a finished chunk, a progress tick, a watchdog stall, a fired alert
+— live here.  :meth:`FlightRecorder.record` (module-level
 :func:`emit`) is the only way in, and that one call
 
 * appends ``{"ts", "kind", "data"}`` to a bounded, always-on ring (the
@@ -46,8 +46,8 @@ def _env_enabled() -> bool:
 class FlightRecorder:
     """Bounded ring of recent ``(ts, kind, data)`` events.
 
-    Thread-safe: producers record from the engine, watchdog and evaluator
-    threads concurrently.  ``total`` counts every record the ring ever
+    Thread-safe: producers record from the engine and watchdog threads
+    concurrently.  ``total`` counts every record the ring ever
     accepted (the dump's ``dropped = total - len(ring)``).  ``tracer`` is
     the trace each event is also written to (the global recorder uses the
     global tracer).

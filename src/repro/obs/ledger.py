@@ -215,8 +215,8 @@ def diff_records(old: RunRecord, new: RunRecord) -> dict:
 def summarize_alarms(alarms: List[Dict], max_width: int = 48) -> str:
     """One-cell alarm summary: count plus the raising rules/kinds.
 
-    A bare count hid *what* went wrong; now that live alert rules append
-    alarms too (:mod:`repro.obs.alerts`), the list table names them:
+    A bare count hid *what* went wrong; the end-of-run alert judge
+    appends alarms too (:mod:`repro.obs.alerts`), so the list table names them:
     ``2: fastsim.phase_error_p50,fastsim.phase_error_p95``.  Truncated with
     an ellipsis past ``max_width``.
     """

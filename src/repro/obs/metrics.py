@@ -2,9 +2,9 @@
 
 Hot paths grab a metric handle once (``metrics.counter("mac.arq.retries")``)
 and update it with plain attribute arithmetic — no string lookups, locks or
-allocation per update.  Histograms keep a preallocated timestamped ring
+allocation per update.  Histograms keep a preallocated value ring
 (:class:`~repro.obs.timeseries.Series`) so ``observe`` is an indexed store;
-percentiles and windowed rollups are computed lazily when read.
+percentiles are computed lazily when read.
 
 The module keeps one process-global :class:`MetricsRegistry` (the default
 target of the module-level helpers) because the simulators and the PHY stack
@@ -14,14 +14,17 @@ stay valid across runs.
 
 Everything renders to plain dicts (:meth:`MetricsRegistry.to_dict`) and JSON
 (:meth:`MetricsRegistry.write_json`); only stdlib + numpy are used.
+
+Pool workers report into their own copy of the registry; the sweep engine
+ships each chunk's :meth:`MetricsRegistry.delta` home in its envelope and
+the parent folds it in with :meth:`MetricsRegistry.merge`.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import json
 import time
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -67,14 +70,13 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming distribution: exact running stats plus a timestamped ring.
+    """Streaming distribution: exact running stats plus a value ring.
 
     Count / mean / min / max are exact over every observation.  The values
     themselves go into a :class:`~repro.obs.timeseries.Series` ring of the
-    most recent ``capacity`` points, so percentiles cover the whole run
+    most recent ``capacity`` samples, so percentiles cover the whole run
     until it holds more than ``capacity`` samples and the most recent
-    ``capacity`` after that, and the same ring answers windowed questions
-    (:meth:`rollup`) for ``/timeseries`` and the alert rules.
+    ``capacity`` after that; the alert rules read the same ring.
     """
 
     __slots__ = ("name", "series", "count", "_sum", "_min", "_max")
@@ -87,7 +89,7 @@ class Histogram:
         self._min = np.inf
         self._max = -np.inf
 
-    def observe(self, value: float, ts: Optional[float] = None) -> None:
+    def observe(self, value: float) -> None:
         value = float(value)
         self.count += 1
         self._sum += value
@@ -95,7 +97,7 @@ class Histogram:
             self._min = value
         if value > self._max:
             self._max = value
-        self.series.record(value, ts)
+        self.series.record(value)
 
     @property
     def mean(self) -> float:
@@ -116,10 +118,6 @@ class Histogram:
             return float("nan") if np.isscalar(q) else np.full(np.shape(q), np.nan)
         out = np.percentile(values, q)
         return float(out) if np.isscalar(q) else out
-
-    def rollup(self, since: Optional[float] = None) -> dict:
-        """Statistics of the samples observed at/after ``since`` (wall clock)."""
-        return self.series.rollup(since)
 
     def reset(self) -> None:
         self.series.reset()
@@ -235,35 +233,38 @@ class MetricsRegistry:
     def to_dict(self) -> dict:
         return {name: self._metrics[name].to_dict() for name in self.names()}
 
-    def rollups(
-        self,
-        since: Optional[float] = None,
-        names: Union[str, Sequence[str], None] = None,
-    ) -> dict:
-        """Live view: a windowed rollup per histogram, the value of the rest.
+    def mark(self) -> Dict[str, float]:
+        """Where every counter and histogram stands now (for :meth:`delta`)."""
+        return {
+            name: metric.count if isinstance(metric, Histogram) else metric.value
+            for name, metric in self._metrics.items()
+            if not isinstance(metric, Gauge)
+        }
 
-        Histograms render :meth:`Histogram.rollup` over the samples at/after
-        ``since`` plus ``total`` (every observation ever made); counters and
-        set gauges render ``{"type", "last"}``.  ``names`` is a glob (or a
-        list of globs) selecting metrics.
-        """
-        if isinstance(names, str):
-            names = [names]
-        out: Dict[str, dict] = {}
-        for name in self.names():
-            if names and not any(fnmatch.fnmatch(name, p) for p in names):
-                continue
-            metric = self._metrics[name]
+    def delta(self, mark: Dict[str, float]) -> Dict[str, Union[float, np.ndarray]]:
+        """New histogram samples (one float64 array each, at most a ring's
+        worth) and counter increments since ``mark``; gauges never travel."""
+        out: Dict[str, Union[float, np.ndarray]] = {}
+        for name, metric in self._metrics.items():
             if isinstance(metric, Histogram):
-                entry = {"type": "histogram", **metric.rollup(since),
-                         "total": metric.count}
-            elif metric.value is None:
-                continue  # a gauge that was never set
-            else:
-                kind = "counter" if isinstance(metric, Counter) else "gauge"
-                entry = {"type": kind, "last": metric.value}
-            out[name] = entry
+                new = metric.count - mark.get(name, 0)
+                if new > 0:
+                    out[name] = metric.series.latest(new)
+            elif isinstance(metric, Counter):
+                increment = metric.value - mark.get(name, 0.0)
+                if increment:
+                    out[name] = increment
         return out
+
+    def merge(self, delta: Dict[str, Union[float, np.ndarray]]) -> None:
+        """Fold a :meth:`delta` taken in another process into this registry."""
+        for name, change in delta.items():
+            if isinstance(change, np.ndarray):
+                histogram = self.histogram(name)
+                for value in change.tolist():
+                    histogram.observe(value)
+            else:
+                self.counter(name).inc(change)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

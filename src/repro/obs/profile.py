@@ -1,6 +1,6 @@
 """Trace profiler: where a run's wall clock went.
 
-``repro obs profile TRACE`` reads one JSONL trace (merged worker shards
+``repro obs profile TRACE`` reads one JSONL trace (pool workers' spans
 included) and answers with two views of the same records:
 
 **Hot spans.**  Per span name: count, total/self/mean/max wall time, CPU
@@ -348,9 +348,9 @@ def folded_stacks(
 
     One line per distinct root-to-span path, ``root;child;leaf <value>``,
     where the value is the path's aggregate *self* time in microseconds
-    (integer, as flamegraph tooling expects).  Works on merged traces: the
-    shard merger keeps ids unique and parent links intact, so worker spans
-    fold under the sweep span that launched them.
+    (integer, as flamegraph tooling expects).  Pool workers' spans fold
+    under the sweep span that launched them: the engine writes them into
+    the parent's trace with fresh ids and intact parent links.
     """
     timed = _self_times(records)
     spans = {rec.get("span_id"): rec for rec, _ in timed}

@@ -1,14 +1,12 @@
-"""Live sweep telemetry: a stderr status line + ``runtime.progress`` events.
+"""Sweep progress: a stderr status line + ``runtime.progress`` events.
 
-A 30-minute fig9 sweep used to be silent until it returned.  The engine
-(:mod:`repro.runtime.engine`) now drives a :class:`SweepProgress` tracker
-with chunk-granular completions; the tracker renders
+The engine (:mod:`repro.runtime.engine`) drives a :class:`SweepProgress`
+tracker with chunk-granular completions; the tracker renders
 
     fig9 [####------] 67/135 chunks  268/540 trials  41.2 trials/s  eta 7s  workers 4  retries 1
 
 to stderr and publishes every rendered update as one ``runtime.progress``
-event (flight recorder and trace, see :func:`repro.obs.flightrec.emit`),
-so live state and post-hoc analysis see the same numbers.
+event (flight recorder and trace, see :func:`repro.obs.flightrec.emit`).
 
 Rendering adapts to the sink:
 
@@ -32,7 +30,6 @@ import sys
 import time
 from typing import Optional, TextIO
 
-from repro.obs import metrics
 from repro.obs.flightrec import emit
 
 #: Environment variable: "0" disables the status line, "1" forces TTY mode.
@@ -112,10 +109,6 @@ class SweepProgress:
         self._last_render = -float("inf")
         self._line_open = False
         self._closed = False
-        self._m_trials = metrics.counter("runtime.trials_done")
-        self._m_rate = metrics.gauge("runtime.trials_per_s")
-        self._m_busy = metrics.gauge("runtime.workers_busy")
-        self._m_utilization = metrics.histogram("runtime.worker_utilization")
         if self.total_chunks > 0:
             self._emit(force=True)  # announce the sweep immediately
 
@@ -125,7 +118,6 @@ class SweepProgress:
         """One work item finished (pool, serial, or serial-retry path)."""
         self.done_chunks += 1
         self.done_trials += int(n_trials)
-        self._m_trials.inc(int(n_trials))
         self._emit(force=self.done_chunks >= self.total_chunks)
 
     def chunk_failed(self) -> None:
@@ -187,13 +179,6 @@ class SweepProgress:
         remaining = self.total_chunks - self.done_chunks
         return max(min(remaining, self.workers), 0)
 
-    @property
-    def worker_utilization(self) -> float:
-        """Busy fraction of the requested pool (0.0 when workers == 0)."""
-        if self.workers <= 0:
-            return 0.0
-        return self.workers_busy / self.workers
-
     # -- rendering -------------------------------------------------------------
 
     def _emit(self, force: bool = False, final: bool = False) -> None:
@@ -216,9 +201,6 @@ class SweepProgress:
             retries=self.retries,
             final=final,
         )
-        self._m_rate.set(self.trials_per_s)
-        self._m_busy.set(self.workers_busy)
-        self._m_utilization.observe(self.worker_utilization)
         # the last tick on the flight recorder becomes a crash bundle's
         # progress.json: how far the sweep got
         emit("runtime.progress", payload)

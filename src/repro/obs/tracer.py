@@ -25,29 +25,31 @@ Pool workers do not share the parent's sink.  A forked child inherits the
 parent's open file, and two processes appending to one stream interleave
 mid-line — so workers first call :meth:`Tracer.detach` (drop the inherited
 writer *without* flushing or closing it, which would corrupt the parent's
-buffer) and then, when the parent was tracing to a file, reopen their own
-*shard*: a per-worker JSONL file under ``<trace>.shards/`` seeded with the
-parent's span context (see :meth:`Tracer.worker_context` /
-:meth:`Tracer.configure_shard`).  After the pool drains,
-:func:`repro.obs.shards.merge_shards` folds every shard back into the live
-parent trace with remapped span ids, restoring one coherent tree.
+buffer) and then, when the parent is tracing, :meth:`Tracer.capture` into
+memory.  Each chunk's records travel home in the chunk's envelope
+(:meth:`Tracer.drain`), and the parent writes them into its one trace with
+:meth:`Tracer.adopt`: fresh span ids, root spans re-parented under the
+parent's current span (``runtime.sweep``), ``worker_pid`` in attrs.
 """
 
 from __future__ import annotations
 
-import atexit
 import functools
 import itertools
-import os
 import threading
 import time
-from typing import IO, Any, Dict, Optional, Union
+from typing import IO, Dict, List, Optional, Union
 
 from repro.obs.events import SCHEMA_VERSION, JsonlWriter, jsonable
 
-#: Directory holding per-worker trace shards, next to the parent trace file:
-#: ``/path/run.jsonl`` -> ``/path/run.jsonl.shards/worker-<pid>.jsonl``.
-SHARD_DIR_SUFFIX = ".shards"
+
+class _RecordBuffer(list):
+    """In-memory sink of a capturing pool worker (see :meth:`Tracer.capture`)."""
+
+    write = list.append
+
+    def close(self) -> None:
+        pass
 
 
 class NullSpan:
@@ -128,8 +130,7 @@ class Tracer:
 
     def __init__(self):
         self.enabled = False
-        self._writer: Optional[JsonlWriter] = None
-        self._sink_path: Optional[str] = None
+        self._writer: Optional[Union[JsonlWriter, _RecordBuffer]] = None
         self._ids = itertools.count(1)
         self._local = threading.local()
 
@@ -139,7 +140,6 @@ class Tracer:
         """Start tracing into ``sink`` (a path or text file object)."""
         self.close()
         self._writer = JsonlWriter(sink)
-        self._sink_path = sink if isinstance(sink, str) else None
         self._ids = itertools.count(1)
         self._writer.write(
             {"type": "meta", "schema": SCHEMA_VERSION, "ts": time.time(),
@@ -153,89 +153,65 @@ class Tracer:
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-        self._sink_path = None
 
     def detach(self) -> None:
         """Disable tracing and *drop* the sink without flushing or closing it.
 
-        For child processes: a forked worker inherits the parent's tracer,
-        including its open file object and any bytes the parent had buffered
-        at fork time.  ``close()`` would flush that inherited buffer into
-        the file a second time, so the child must walk away from the handle
-        instead of closing it.  The thread-local span stack is reset too —
-        spans open in the parent at fork time do not belong to the child.
+        For pool workers: a forked child inherits the parent's open file
+        and any bytes buffered at fork time, which ``close()`` would write a
+        second time.  The span stack is reset too — spans open in the
+        parent at fork time do not belong to the child.
         """
         self.enabled = False
         self._writer = None
-        self._sink_path = None
         self._local = threading.local()
 
-    @property
-    def sink_path(self) -> Optional[str]:
-        """Path of the current sink, or None (disabled / file-object sink)."""
-        return self._sink_path
+    # -- cross-process records ---------------------------------------------
 
-    # -- cross-process shards ------------------------------------------------
-
-    def worker_context(self, **attrs) -> Optional[Dict[str, Any]]:
-        """Picklable shard context to ship to pool workers.
-
-        Returns None unless tracing into a named file (worker shards need a
-        directory to live in).  The context carries the shard directory
-        (created here, in the parent), the current span's id/depth so shard
-        roots can be re-parented under it at merge time, and any extra
-        ``attrs`` to stamp into each shard's meta record.
-        """
-        if not self.enabled or self._sink_path is None:
-            return None
-        shard_dir = self._sink_path + SHARD_DIR_SUFFIX
-        os.makedirs(shard_dir, exist_ok=True)
-        current = self.current_span
-        return {
-            "shard_dir": shard_dir,
-            "parent_span_id": None if current is None else current.span_id,
-            "parent_depth": 0 if current is None else current.depth + 1,
-            "attrs": jsonable(attrs) if attrs else {},
-        }
-
-    def configure_shard(self, context: Dict[str, Any]) -> str:
-        """Open this process's shard of an inherited trace (pool workers).
-
-        Call after :meth:`detach`, with the parent's
-        :meth:`worker_context`.  The shard file is keyed on the worker's
-        pid, its meta record carries the inherited parent span linkage, and
-        the shard is closed at interpreter exit so a clean worker shutdown
-        always leaves complete lines behind.  Returns the shard path.
-        """
-        pid = os.getpid()
-        path = os.path.join(context["shard_dir"], f"worker-{pid}.jsonl")
+    def capture(self) -> None:
+        """Trace into memory until :meth:`drain` (pool workers, after :meth:`detach`)."""
         self.detach()
-        self._writer = JsonlWriter(path)
-        self._sink_path = path
-        self._ids = itertools.count(1)
-        self._writer.write({
-            "type": "meta",
-            "schema": SCHEMA_VERSION,
-            "ts": time.time(),
-            "worker": {
-                "pid": pid,
-                "parent_span_id": context.get("parent_span_id"),
-                "parent_depth": int(context.get("parent_depth", 0)),
-            },
-            **({"attrs": dict(context["attrs"])} if context.get("attrs") else {}),
-        })
+        self._writer = _RecordBuffer()
         self.enabled = True
-        atexit.register(self.close)
-        return path
 
-    def allocate_span_id(self) -> int:
-        """Draw a fresh span id from this tracer's sequence (merger use)."""
-        return next(self._ids)
+    def drain(self) -> List[dict]:
+        """Hand over and forget the records captured so far ([] when not capturing)."""
+        if not isinstance(self._writer, _RecordBuffer):
+            return []
+        records = list(self._writer)
+        self._writer.clear()
+        return records
 
-    def emit(self, record: dict) -> None:
-        """Write a pre-built record to the sink while enabled (merger use)."""
-        if self.enabled:
-            self._emit(record)
+    def adopt(self, records: List[dict], **attrs) -> None:
+        """Write another process's drained records into this trace.
+
+        Span ids are redrawn from this tracer's sequence (a parent id is
+        met before its span, so it is allocated on first sight); records
+        without a parent go under the current span, depths shifted to
+        match; ``attrs`` (e.g. ``worker_pid``) are stamped into each.
+        """
+        if not self.enabled:
+            return
+        current = self.current_span
+        root_parent = None if current is None else current.span_id
+        depth_shift = 0 if current is None else current.depth + 1
+        ids: Dict[int, int] = {}
+
+        def remap(span_id: Optional[int]) -> Optional[int]:
+            if span_id is None:
+                return root_parent
+            if span_id not in ids:
+                ids[span_id] = next(self._ids)
+            return ids[span_id]
+
+        for rec in records:
+            out = dict(rec)
+            out["parent_id"] = remap(rec.get("parent_id"))
+            if rec["type"] == "span":
+                out["span_id"] = remap(rec["span_id"])
+                out["depth"] = int(rec.get("depth", 0)) + depth_shift
+            out["attrs"] = {**attrs, **(rec.get("attrs") or {})}
+            self._emit(out)
 
     # -- recording -----------------------------------------------------------
 
@@ -287,10 +263,6 @@ class Tracer:
     def _emit(self, record: dict) -> None:
         if self._writer is not None:
             self._writer.write(record)
-
-    def flush(self) -> None:
-        if self._writer is not None:
-            self._writer.flush()
 
 
 #: The process-global tracer all instrumentation reports into.

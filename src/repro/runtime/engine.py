@@ -44,10 +44,12 @@ Execution model:
   metrics; :func:`repro.obs.profile.attribute_chunks` folds
   these into the per-worker ``wall = compute + dispatch + serialization +
   idle`` breakdown stamped into :attr:`SweepResult.overhead`;
-* when the parent traces to a file, pool workers re-open per-worker JSONL
-  shards (via the pool initializer) that are merged back into the parent
-  trace after the pool drains, so kernel-level spans survive the process
-  boundary with correct parent linkage.
+* a pool chunk's envelope also carries what its kernel call added to the
+  worker's metrics registry (:meth:`repro.obs.metrics.MetricsRegistry
+  .delta`) and, when the parent traces, the chunk's span/event records
+  (:meth:`repro.obs.tracer.Tracer.drain`); the parent folds both into its
+  own registry and trace, so the end-of-run alert judge and the profiler
+  see pool runs exactly as in-parent ones.
 
 All accounting is parent-side or envelope metadata riding alongside the
 result payload — kernel results are untouched, so the bit-identical
@@ -65,7 +67,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs import get_logger, metrics, shards, trace
+from repro.obs import get_logger, metrics, trace
 from repro.obs.events import jsonable
 from repro.obs.flightrec import emit
 from repro.obs.metrics import Timer
@@ -104,9 +106,9 @@ BACKENDS = ("auto", "serial", "thread", "process", "batched")
 #: ``auto``: minimum total trials before it picks the process pool over
 #: in-parent execution.  Measured on a 2-vCPU VM (2 workers, min of 3):
 #: the pool loses on small sweeps of stacked kernels (fig6, 100 trials:
-#: 0.011 s in-parent vs 0.031 s) and ties near 200 trials (sinr_grid, 192
-#: trials: 0.10 s vs 0.095 s), while at 540 trials it wins 1.8-2x (fig8:
-#: 3.6 s vs 2.0 s; fig9: 7.5 s vs 3.7 s).  fig11's per-trial loop already
+#: 0.011 s in-parent vs 0.031 s) and ties near 200 trials (a 192-trial
+#: fast-path SINR grid: 0.10 s vs 0.095 s), while at 540 trials it wins
+#: 1.8-2x (fig8: 3.6 s vs 2.0 s; fig9: 7.5 s vs 3.7 s).  fig11's per-trial loop already
 #: runs 2x faster on the pool at 180 trials (1.02 s vs 0.53 s), so the
 #: threshold is conservative for loop kernels; recalibrating it per kernel
 #: is separate work.
@@ -331,8 +333,16 @@ def run_chunk(
     where no pickling happens) skips that probe so in-process runs aren't
     charged for work they don't do.  Returns an *envelope* dict with the
     result under ``"pairs"`` plus the accounting fields.
+
+    In a pool worker the envelope also carries ``"metrics"``, the
+    registry delta of the kernel call (samples and counter increments
+    the parent folds in), and ``"trace"``, the chunk's span/event records
+    when the parent traces (an empty list otherwise).
     """
     recv_ts = time.time()
+    in_worker = bool(os.environ.get(WORKER_ENV_FLAG))
+    registry = metrics.get_registry()
+    mark = registry.mark() if in_worker else {}
     sample_mem = tracemalloc.is_tracing()
     if sample_mem:
         tracemalloc.reset_peak()
@@ -354,42 +364,42 @@ def run_chunk(
         "ser_result_bytes": 0,
         "ser_result_s": 0.0,
     }
+    if in_worker:
+        envelope["metrics"] = registry.delta(mark)
+        envelope["trace"] = trace.drain()
     if sample_mem:
         envelope["mem_peak_kb"] = tracemalloc.get_traced_memory()[1] / 1024.0
     if measure_ser:
         ser = Timer().start()
-        blob = pickle.dumps(pairs, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(
+            (pairs, envelope.get("metrics"), envelope.get("trace")),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         ser.stop()
         envelope["ser_result_bytes"] = len(blob)
         envelope["ser_result_s"] = ser.wall_s
-    if os.environ.get(WORKER_ENV_FLAG):
-        # keep the shard complete per chunk, so a worker killed later
-        # leaves whole lines for the merger
-        trace.flush()
     envelope["done_ts"] = time.time()
     return envelope
 
 
-def _worker_init(trace_context: Optional[Dict[str, Any]] = None) -> None:
-    """Pool-worker initializer: mark the process, re-home obs into a shard.
+def _worker_init(capture_trace: bool) -> None:
+    """Pool-worker initializer: mark the process, detach from the parent's sink.
 
     The forked child inherits the parent's tracer (and its open file); spans
     written from two processes would interleave mid-line, so the worker
-    first detaches from the inherited sink and then — when the parent is
-    tracing to a file — opens its own shard seeded with the parent's span
-    context (merged back by :func:`repro.obs.shards.merge_shards` after the
-    pool drains).  Metrics incremented inside workers live in the worker's
-    copy of the registry and are intentionally not merged — the engine
-    accounts for work items in the parent via chunk envelopes.
+    detaches from the inherited sink and — when the parent is tracing —
+    captures into memory instead; :func:`run_chunk` ships each chunk's
+    records and registry delta home in its envelope.
     """
     os.environ[WORKER_ENV_FLAG] = "1"
     # The watchdog terminates stalled workers with SIGTERM; a forked worker
     # must not run the parent's bundle-on-signal handler, since the parent
     # already writes the stall's crash bundle.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    trace.detach()
-    if trace_context is not None:
-        trace.configure_shard(trace_context)
+    if capture_trace:
+        trace.capture()
+    else:
+        trace.detach()
     if os.environ.get(MEMORY_ENV_FLAG) == "1" and not tracemalloc.is_tracing():
         tracemalloc.start()
 
@@ -408,8 +418,12 @@ def _account_chunk(
     Parent-side only.  ``mode`` is ``"pool"``, ``"batched"`` or
     ``"retry"``; pool chunks are attributed per worker process, and
     everything that ran inline in the parent to the synthetic worker
-    ``"parent"``.
+    ``"parent"``.  A pool envelope's registry delta and trace records are
+    folded into the parent's registry and trace here.
     """
+    if "metrics" in envelope:
+        metrics.get_registry().merge(envelope["metrics"])
+        trace.adopt(envelope["trace"], worker_pid=envelope["worker_pid"])
     worker = f"pid:{envelope['worker_pid']}" if mode == "pool" else "parent"
     recv_ts = float(envelope["recv_ts"])
     done_ts = float(envelope["done_ts"])
@@ -435,9 +449,9 @@ def _account_chunk(
     if "mem_peak_kb" in envelope:
         rec["mem_peak_kb"] = float(envelope["mem_peak_kb"])
     acct.append(rec)
-    _QUEUE_WAIT_S.observe(rec["queue_wait_s"], ts=done_ts)
-    _WORKER_WALL_S.observe(rec["wall_s"], ts=done_ts)
-    _WORKER_CPU_S.observe(rec["cpu_s"], ts=done_ts)
+    _QUEUE_WAIT_S.observe(rec["queue_wait_s"])
+    _WORKER_WALL_S.observe(rec["wall_s"])
+    _WORKER_CPU_S.observe(rec["cpu_s"])
     _SER_TASK_S.inc(rec["ser_task_s"])
     _SER_TASK_BYTES.inc(rec["ser_task_bytes"])
     _SER_RESULT_S.inc(rec["ser_result_s"])
@@ -810,14 +824,13 @@ def _run_pool(
     would block interpreter exit), salvages the futures that did finish,
     and re-runs the rest serially through the shared retry funnel.
 
-    When the parent traces to a file, workers write per-process trace
-    shards (see :func:`_worker_init`) that are merged back into the parent
-    trace once the pool has shut down; :func:`repro.obs.shards
-    .merge_shards` tolerates the torn shard a killed worker leaves behind.
+    When the parent traces, workers capture their spans in memory (see
+    :func:`_worker_init`) and each envelope brings its chunk's records
+    home; a killed worker loses only its in-flight chunk's records, and
+    that chunk's serial retry is traced in the parent.
     """
     failures = 0
     acct_list: List[Dict[str, Any]] = [] if acct is None else acct
-    worker_ctx = trace.worker_context(sweep=name)
     ser_cache: Dict[int, Tuple[int, float]] = {}
 
     def task_ser_cost(task: Task) -> Tuple[int, float]:
@@ -841,7 +854,7 @@ def _run_pool(
 
     stalled = False
     pool = ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(worker_ctx,),
+        max_workers=workers, initializer=_worker_init, initargs=(trace.enabled,),
     )
     try:
         futures: Dict[Future[Envelope], Tuple[Task, float, Tuple[int, float]]] = {}
@@ -897,12 +910,4 @@ def _run_pool(
             )
     finally:
         pool.shutdown(wait=not stalled, cancel_futures=stalled)
-    if worker_ctx is not None:
-        stats = shards.merge_shards(
-            trace,
-            worker_ctx["shard_dir"],
-            default_parent_id=worker_ctx["parent_span_id"],
-            default_depth=worker_ctx["parent_depth"],
-        )
-        trace.event("runtime.shards_merged", sweep=name, **stats)
     return failures

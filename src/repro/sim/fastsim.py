@@ -42,9 +42,9 @@ PHASE_SIGMA_SCALE_ENV = "REPRO_PHASE_SIGMA_SCALE"
 
 # module-level telemetry handles: these functions are the fast path of the
 # 20-topology figure sweeps, so the handles are resolved exactly once.  The
-# histogram holds one sample per slave per draw; its timestamped ring is
-# what the §7.3 budget alert rules and /timeseries read, so a degradation
-# shows *during* the run.
+# histogram holds one sample per slave per draw; its ring is what the §7.3
+# budget alert rules read at the end of every run command (pool workers'
+# samples come home in the sweep engine's chunk envelopes).
 _OBS_PHASE_ERR = metrics.histogram("fastsim.phase_error_rad")
 _OBS_DRAWS = metrics.counter("fastsim.phase_error_draws")
 _OBS_ESTIMATES = metrics.counter("fastsim.estimates_corrupted")
@@ -371,92 +371,3 @@ def unicast_snr_db(channels: np.ndarray, client: int, ap: int,
     """Per-subcarrier single-AP unicast SNR (the 802.11 baseline link)."""
     channels = np.asarray(channels, dtype=complex)
     return linear_to_db(np.abs(channels[:, client, ap]) ** 2 / noise_power)
-
-
-# ---------------------------------------------------------------------------
-# Canned fast-path Monte Carlo sweep (benchmark + runtime-engine workload)
-# ---------------------------------------------------------------------------
-
-
-def sinr_grid_kernel(params, seeds):
-    """Fast-path trials: joint-ZF SINR statistics of random topologies.
-
-    A pure ``(params, seeds) -> [result per seed]`` kernel for the sweep
-    engine.  RNG draws stay per-trial — each seed's generator draws, in
-    order, the NxN band SNRs, the link taps, the estimation noise and the
-    per-device phase errors — while the FFTs, ZF inversions and SINR
-    reductions run once over the stacked trial axis, so each trial's
-    result is the same whatever batch it runs in.
-    """
-    n = int(params["n"])
-    band = tuple(params["band"])
-    error_model = params["error_model"]
-    model = RicianChannel(k_factor=7.0)
-    snrs, taps, est_noise, errors = [], [], [], []
-    for seed in seeds:
-        rng = ensure_rng(seed)
-        trial_snrs = draw_band_snrs(band, n, n, rng)
-        snrs.append(trial_snrs)
-        taps.append(model.realize_taps(db_to_linear(trial_snrs), rng=rng))
-        est_noise.append(complex_normal(rng, (N_BINS, n, n), 1.0))
-        errors.append(error_model.phase_errors(n, rng))
-    snr_arr = np.stack(snrs)  # (T, n, n)
-    channels = taps_to_channel_tensor(np.stack(taps))  # (T, B, n, n)
-    est_snr = db_to_linear(snr_arr + error_model.estimation_snr_boost_db)
-    scale = np.abs(channels) / np.sqrt(est_snr)[..., None, :, :]
-    est = channels + np.stack(est_noise) * scale
-    _OBS_ESTIMATES.inc(len(seeds))
-    sinr_db = joint_zf_sinr_db(channels, phase_errors=np.stack(errors), est_channels=est)
-    return [
-        {
-            "mean_sinr_db": float(np.mean(sinr_db[t])),
-            "min_sinr_db": float(np.min(sinr_db[t])),
-            "max_sinr_db": float(np.max(sinr_db[t])),
-        }
-        for t in range(len(seeds))
-    ]
-
-
-def run_sinr_grid(
-    seed: int = 12,
-    sizes: Sequence[int] = (2, 4, 8),
-    band: Tuple[float, float] = (18.0, 22.0),
-    n_trials: int = 64,
-    error_model: Optional[SyncErrorModel] = None,
-    workers: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    backend: Optional[str] = None,
-) -> dict:
-    """Monte Carlo grid over system sizes of the fast-path SINR physics.
-
-    The canned "fastsim grid" workload: per system size N, ``n_trials``
-    independent topologies are drawn and the post-ZF SINR summarized.
-    Returns ``{n: {"mean_sinr_db", "min_sinr_db", "max_sinr_db"}}``
-    aggregated over trials, deterministically for any ``workers`` count.
-    """
-    from repro.runtime import CellSpec, run_sweep
-
-    error_model = error_model or SyncErrorModel()
-    cells = [
-        CellSpec(
-            key=int(n),
-            params={"n": int(n), "band": tuple(band), "error_model": error_model},
-            n_trials=n_trials,
-        )
-        for n in sizes
-    ]
-    sweep = run_sweep(
-        "fastsim.sinr_grid", sinr_grid_kernel, cells, master_seed=int(seed),
-        workers=workers, checkpoint=checkpoint, resume=resume, backend=backend,
-    )
-    out = {}
-    for n in sizes:
-        trials = sweep.cell_results(int(n))
-        out[int(n)] = {
-            "mean_sinr_db": float(np.mean([t["mean_sinr_db"] for t in trials])),
-            "min_sinr_db": float(np.min([t["min_sinr_db"] for t in trials])),
-            "max_sinr_db": float(np.max([t["max_sinr_db"] for t in trials])),
-        }
-    return out
-

@@ -138,13 +138,13 @@ class TestTaps:
 
     def test_alert_transitions_land_on_ring(self):
         reg = MetricsRegistry()
-        reg.histogram("s.x").observe(9.0, ts=10.0)
+        reg.histogram("s.x").observe(9.0)
         engine = AlertEngine([
             AlertRule(name="s.high", series="s.x", threshold=1.0),
         ])
-        (transition,) = engine.evaluate(reg, now=10.0)
+        (alarm,) = engine.evaluate(reg)
         (tap,) = get_recorder().snapshot(kind="obs.alert")
-        assert tap["data"] == transition
+        assert tap["data"] == alarm
 
     def test_bus_frames_land_on_ring(self):
         # a progress tick emitted on the bus is the record a crash bundle's
@@ -208,7 +208,7 @@ class TestGlobalRecorder:
 
 class TestSweepEvents:
     def test_fig9_sweep_leaves_one_record_per_chunk_and_tick(self, monkeypatch):
-        """No trace, no server: the ring holds chunks and progress ticks only.
+        """No trace: the ring holds chunks and progress ticks only.
 
         Each value the sweep samples lives in one store (the registry); the
         ring gets one event per chunk and per progress tick and no copies

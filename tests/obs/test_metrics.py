@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, ring histograms, live rollups."""
+"""Metrics registry: counters, gauges, ring histograms, cross-process deltas."""
 
 import json
 
@@ -72,16 +72,6 @@ class TestHistogram:
         assert h.max == 200.0  # running stats stay exact
         assert h.to_dict()["p50"] == pytest.approx(2.5)
 
-    def test_rollup_windows_by_timestamp(self):
-        h = Histogram("h")
-        h.observe(9.0, ts=0.0)
-        h.observe(1.0, ts=10.0)
-        h.observe(3.0, ts=11.0)
-        assert h.rollup()["count"] == 3
-        window = h.rollup(since=10.0)
-        assert window["count"] == 2 and window["max"] == 3.0
-        assert window["last"] == 3.0
-
     def test_empty(self):
         h = Histogram("h")
         assert np.isnan(h.percentile(50))
@@ -143,41 +133,38 @@ class TestRegistry:
         assert "test.global.counter" in metrics.to_dict()
 
 
-class TestRollups:
-    def _registry(self):
+class TestDelta:
+    """A pool worker's registry delta, folded into the parent's registry."""
+
+    def test_delta_holds_new_samples_and_increments_only(self):
         reg = MetricsRegistry()
-        for i in range(4):
-            reg.histogram("runtime.rate").observe(float(i), ts=float(i))
-            reg.histogram("sim.err").observe(0.01 * i, ts=float(i))
-        return reg
+        reg.histogram("h").observe(1.0)
+        reg.counter("c").inc(2)
+        reg.gauge("g").set(5.0)
+        mark = reg.mark()
+        reg.histogram("h").observe(2.0)
+        reg.histogram("h").observe(3.0)
+        reg.histogram("new").observe(7.0)
+        reg.counter("c").inc(0.5)
+        reg.counter("untouched")
+        reg.gauge("g").set(6.0)
+        delta = reg.delta(mark)
+        assert set(delta) == {"h", "new", "c"}  # gauges never travel
+        assert delta["h"].dtype == np.float64
+        assert delta["h"].tolist() == [2.0, 3.0]
+        assert delta["new"].tolist() == [7.0]
+        assert delta["c"] == 0.5
 
-    def test_histograms_roll_up_with_totals(self):
-        view = self._registry().rollups()
-        assert set(view) == {"runtime.rate", "sim.err"}
-        assert view["runtime.rate"]["type"] == "histogram"
-        assert view["runtime.rate"]["count"] == 4
-        assert view["runtime.rate"]["total"] == 4
-        assert view["runtime.rate"]["p95"] > 2.0
-
-    def test_since_windows_histograms_not_totals(self):
-        view = self._registry().rollups(since=2.0)
-        assert view["sim.err"]["count"] == 2
-        assert view["sim.err"]["total"] == 4
-
-    def test_glob_filter_selects_metrics(self):
-        view = self._registry().rollups(names="runtime.*")
-        assert set(view) == {"runtime.rate"}
-        view = self._registry().rollups(names=["sim.*", "runtime.*"])
-        assert set(view) == {"runtime.rate", "sim.err"}
-
-    def test_counters_and_gauges_give_their_value(self):
-        reg = MetricsRegistry()
-        reg.counter("runtime.chunks").inc(3)
-        reg.gauge("sim.goodput").set(36.0)
-        reg.gauge("never.set")
-        reg.histogram("mac.err")
-        view = reg.rollups()
-        assert view["runtime.chunks"] == {"type": "counter", "last": 3.0}
-        assert view["sim.goodput"] == {"type": "gauge", "last": 36.0}
-        assert "never.set" not in view  # unset gauges are skipped
-        assert view["mac.err"] == {"type": "histogram", "count": 0, "total": 0}
+    def test_merge_folds_a_delta_into_another_registry(self):
+        worker, parent = MetricsRegistry(), MetricsRegistry()
+        parent.histogram("h").observe(1.0)
+        parent.counter("c").inc()
+        mark = worker.mark()
+        for x in (2.0, 3.0):
+            worker.histogram("h").observe(x)
+        worker.counter("c").inc(4)
+        parent.merge(worker.delta(mark))
+        assert parent.histogram("h").count == 3
+        assert sorted(parent.histogram("h").series.values().tolist()) == [1.0, 2.0, 3.0]
+        assert parent.histogram("h").max == 3.0
+        assert parent.counter("c").value == 5.0

@@ -84,7 +84,8 @@ class TestSyncHealth:
 
     def test_alarm_on_budget_breach(self, clean_registry, tmp_path, monkeypatch):
         monkeypatch.setenv(PHASE_SIGMA_SCALE_ENV, "2")
-        alarms = {a["rule"]: a for a in _simulate_alarms(tmp_path)}
+        alarms = {a["rule"]: a for a in _simulate_alarms(tmp_path)
+                  if a["kind"] == "alert_budget"}
         assert set(alarms) == {"fastsim.phase_error_p50", "fastsim.phase_error_p95"}
         p95 = alarms["fastsim.phase_error_p95"]
         assert p95["kind"] == "alert_budget"

@@ -176,3 +176,76 @@ class TestJsonl:
         assert jsonable({"x": Weird()}) == {"x": "<weird>"}
         assert jsonable(1 + 2j) == {"re": 1.0, "im": 2.0}
         assert jsonable((1, {2})) == [1, [2]]
+
+
+class TestDetach:
+    def test_detach_disables_without_flushing(self):
+        buf = io.StringIO()
+        t = Tracer()
+        t.configure(buf)
+        with t.span("before"):
+            pass
+        written = buf.getvalue()
+        t.detach()
+        assert not t.enabled
+        assert t.span("after") is NULL_SPAN
+        t.event("after")  # silently dropped
+        # the inherited buffer is walked away from, never touched again
+        assert buf.getvalue() == written
+        t.close()  # idempotent after detach, no error
+        assert buf.getvalue() == written
+
+    def test_detach_resets_span_stack(self, tmp_path):
+        t = Tracer()
+        t.configure(str(tmp_path / "t.jsonl"))
+        span = t.span("parent").__enter__()  # left open, as at fork time
+        assert t.current_span is span
+        t.detach()
+        assert t.current_span is None
+        assert not t.enabled
+
+
+class TestCaptureAndAdopt:
+    """A pool worker's records travel home and join the parent's trace."""
+
+    def _worker_records(self):
+        worker = Tracer()
+        worker.capture()
+        with worker.span("runtime.chunk", chunk=0):
+            with worker.span("kernel"):
+                worker.event("draw", n=2)
+        records = worker.drain()
+        assert worker.drain() == []  # drained records are forgotten
+        return records
+
+    def test_capture_keeps_records_in_memory(self, tmp_path):
+        records = self._worker_records()
+        assert [r["type"] for r in records] == ["event", "span", "span"]
+        assert [r["name"] for r in records] == ["draw", "kernel", "runtime.chunk"]
+        assert Tracer().drain() == []  # not capturing: nothing to hand over
+
+    def test_adopt_restores_linkage_inside_open_parent_span(self):
+        records = self._worker_records()
+        buf = io.StringIO()
+        parent = Tracer()
+        parent.configure(buf)
+        with parent.span("runtime.sweep") as sweep:
+            with parent.span("local"):
+                pass
+            parent.adopt(records, worker_pid=111)
+        out = [json.loads(line) for line in buf.getvalue().splitlines()[1:]]
+        spans = {r["name"]: r for r in out if r["type"] == "span"}
+        (event,) = [r for r in out if r["type"] == "event"]
+        chunk, kernel = spans["runtime.chunk"], spans["kernel"]
+        assert chunk["parent_id"] == sweep.span_id
+        assert chunk["depth"] == sweep.depth + 1
+        assert kernel["parent_id"] == chunk["span_id"]
+        assert kernel["depth"] == chunk["depth"] + 1
+        assert event["parent_id"] == kernel["span_id"]
+        assert chunk["attrs"] == {"worker_pid": 111, "chunk": 0}
+        assert event["attrs"] == {"worker_pid": 111, "n": 2}
+        ids = [r["span_id"] for r in out if r["type"] == "span"]
+        assert len(ids) == len(set(ids))  # fresh ids from the parent
+
+    def test_adopt_is_a_no_op_while_disabled(self):
+        Tracer().adopt(self._worker_records(), worker_pid=1)  # no sink, no error

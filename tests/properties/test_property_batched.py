@@ -37,7 +37,6 @@ from repro.sim.fastsim import (
     joint_zf_sinr_db,
     mmse_stream_sinr_db,
     nulling_inr_db,
-    sinr_grid_kernel,
 )
 from repro.utils.units import linear_to_db
 
@@ -200,9 +199,6 @@ class TestShapeDtypeInvariants:
 
 #: Every sweep kernel with a tiny parameter set.
 KERNELS = {
-    "sinr_grid": (sinr_grid_kernel, {
-        "n": 2, "band": (18.0, 22.0), "error_model": SyncErrorModel(),
-    }),
     "fig6": (fig6_kernel, {
         "n_rx": 2, "n_tx": 2, "misalignments": [0.0, 0.25], "snrs_db": [10.0],
     }),
@@ -225,23 +221,23 @@ KERNELS = {
 
 
 class TestTrialPermutationInvariance:
-    PARAMS = KERNELS["sinr_grid"][1]
+    PARAMS = KERNELS["fig9"][1]
 
     @given(master=seeds, order_seed=seeds, n_trials=st.integers(2, 6))
     @settings(max_examples=10, deadline=None)
     def test_permuting_seeds_permutes_results(self, master, order_seed,
                                               n_trials):
         trial_seeds = [master + i for i in range(n_trials)]
-        results = sinr_grid_kernel(self.PARAMS, trial_seeds)
+        results = fig9_kernel(self.PARAMS, trial_seeds)
         perm = np.random.default_rng(order_seed).permutation(n_trials)
-        permuted = sinr_grid_kernel(
+        permuted = fig9_kernel(
             self.PARAMS, [trial_seeds[i] for i in perm]
         )
         assert permuted == [results[i] for i in perm]
         # fsum is correctly rounded, hence order-invariant — the aggregate
         # over trials is untouched by the permutation, bit for bit.
-        agg = math.fsum(r["mean_sinr_db"] for r in results) / n_trials
-        assert math.fsum(r["mean_sinr_db"] for r in permuted) / n_trials == agg
+        agg = math.fsum(r["megamimo_bps"] for r in results) / n_trials
+        assert math.fsum(r["megamimo_bps"] for r in permuted) / n_trials == agg
 
     @given(master=seeds, n_trials=st.integers(1, 4))
     @settings(max_examples=10, deadline=None)

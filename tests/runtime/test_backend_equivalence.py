@@ -23,8 +23,7 @@ import pytest
 from repro.obs.events import jsonable
 from repro.runtime import CellSpec, CheckpointMismatch, drain_overheads, engine, run_sweep
 from repro.sim.ablations import run_sync_strategy_ablation
-from repro.sim.experiments import run_fig6, run_fig8, run_fig9, run_fig11
-from repro.sim.fastsim import SyncErrorModel, run_sinr_grid, sinr_grid_kernel
+from repro.sim.experiments import fig6_kernel, run_fig6, run_fig8, run_fig9, run_fig11
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "data" / "golden.json").read_text()
@@ -59,10 +58,6 @@ def aggregate(payload) -> float:
 # Configurations are deliberately tiny; the point is coverage of every
 # sweep kernel, not statistical power.
 # ---------------------------------------------------------------------------
-
-
-def _sinr_grid(**kw):
-    return run_sinr_grid(seed=12, sizes=(2, 3), n_trials=6, **kw)
 
 
 def _fig6(**kw):
@@ -104,7 +99,6 @@ def _sync_ablation(**kw):
 
 
 WORKLOADS = {
-    "sinr_grid": _sinr_grid,
     "fig6": _fig6,
     "fig8": _fig8,
     "fig9": _fig9,
@@ -161,34 +155,34 @@ def test_per_trial_loop_kernels_run_batched():
 
 def test_batched_checkpoint_resume_mid_sweep(tmp_path):
     """Kill a batched sweep mid-flight; the resume must be bit-identical."""
-    ck = tmp_path / "grid.jsonl"
-    fresh = _sinr_grid(backend="batched", checkpoint=str(ck))
+    ck = tmp_path / "fig9.jsonl"
+    fresh = _fig9(backend="batched", checkpoint=str(ck))
     lines = ck.read_text().splitlines()
     assert len(lines) > 2  # header + at least two chunk records
     ck.write_text("\n".join(lines[:2]) + "\n")
-    resumed = _sinr_grid(backend="batched", checkpoint=str(ck), resume=True)
-    assert digest(resumed) == digest(fresh) == digest(serial_payload("sinr_grid"))
+    resumed = _fig9(backend="batched", checkpoint=str(ck), resume=True)
+    assert digest(resumed) == digest(fresh) == digest(serial_payload("fig9"))
 
 
 def test_pool_checkpoint_resumes_in_parent_at_its_chunk_size(tmp_path):
     """The chunk size is part of the checkpoint header: a pool checkpoint
     resumes in-parent at the pool's chunk size, taken from the header."""
     cells = [
-        CellSpec(key=n, n_trials=6,
-                 params={"n": n, "band": (18.0, 22.0),
-                         "error_model": SyncErrorModel()})
-        for n in (2, 3)
+        CellSpec(key=snr, n_trials=6,
+                 params={"n_rx": 2, "n_tx": 2, "misalignments": [0.0, 0.25],
+                         "snrs_db": [snr]})
+        for snr in (10.0, 20.0)
     ]
-    ck = tmp_path / "grid.jsonl"
-    fresh = run_sweep("grid", sinr_grid_kernel, cells, master_seed=12,
+    ck = tmp_path / "fig6.jsonl"
+    fresh = run_sweep("fig6", fig6_kernel, cells, master_seed=12,
                       workers=2, backend="process", checkpoint=str(ck))
     lines = ck.read_text().splitlines()
     ck.write_text("\n".join(lines[:2]) + "\n")
     with pytest.raises(CheckpointMismatch):
-        run_sweep("grid", sinr_grid_kernel, cells, master_seed=12,
+        run_sweep("fig6", fig6_kernel, cells, master_seed=12,
                   chunk_size=engine.BATCHED_CHUNK_SIZE,
                   checkpoint=str(ck), resume=True)
-    resumed = run_sweep("grid", sinr_grid_kernel, cells, master_seed=12,
+    resumed = run_sweep("fig6", fig6_kernel, cells, master_seed=12,
                         checkpoint=str(ck), resume=True)
     assert resumed.resumed_chunks == 1
     assert resumed.results == fresh.results

@@ -1,15 +1,16 @@
-"""Dispatch-overhead accounting: envelopes, attribution, worker shards.
+"""Dispatch-overhead accounting: envelopes, attribution, worker telemetry.
 
 The engine promises that instrumentation rides *alongside* results (the
 bit-identical guarantee is untouched), that every run yields a wall-time
 attribution whose per-worker components reassemble the measured wall, and
-that worker trace shards merge back into one coherent parent trace.
+that what pool workers record — trace spans and metric samples — comes
+home in the chunk envelopes into one coherent parent trace and registry.
 """
 
 import numpy as np
 import pytest
 
-from repro.obs import trace
+from repro.obs import metrics, trace
 from repro.obs.events import iter_events
 from repro.obs.profile import profile_trace
 from repro.runtime import (
@@ -118,7 +119,8 @@ class TestSerialAttribution:
 
 
 class TestPoolAttributionAndShards:
-    """One traced workers=4 run, dissected from every angle."""
+    """One traced workers=4 run, dissected from every angle: attribution,
+    and the worker records the chunk envelopes bring home."""
 
     @pytest.fixture(scope="class")
     def traced_run(self, tmp_path_factory):
@@ -184,16 +186,12 @@ class TestPoolAttributionAndShards:
             assert span["attrs"]["worker_pid"] > 0
         ids = [r["span_id"] for r in records if r["type"] == "span"]
         assert len(ids) == len(set(ids))
-        (merged,) = [r for r in records if r["type"] == "event"
-                     and r["name"] == "runtime.shards_merged"]
-        assert merged["attrs"]["spans"] >= len(pool_chunks)
-        assert merged["attrs"]["shards"] >= 1
 
     def test_shard_dir_cleaned_up(self, traced_run):
-        from repro.obs.shards import shard_dir_for
-
+        # worker records travel in the envelopes: no side files at all
         _, path = traced_run
-        assert not (path.parent / shard_dir_for(path.name)).exists()
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+        assert not (path.parent / (path.name + ".shards")).exists()
 
     def test_sweep_span_records_overhead_fractions(self, traced_run):
         _, path = traced_run
@@ -203,3 +201,31 @@ class TestPoolAttributionAndShards:
         assert attrs["workers"] == 4
         for key in ("utilization", "dispatch_frac", "serialization_frac"):
             assert 0.0 <= attrs[key] <= 1.0
+
+
+class TestPoolMetrics:
+    """Samples observed inside pool workers reach the parent's registry."""
+
+    @staticmethod
+    def _fig8_telemetry(**runtime):
+        from repro.sim.experiments import run_fig8
+
+        metrics.reset()
+        run_fig8(seed=3, n_receivers=(2, 3), n_topologies=3, n_packets=2,
+                 **runtime)
+        registry = metrics.get_registry()
+        samples = sorted(
+            registry.histogram("fastsim.phase_error_rad").series.values().tolist()
+        )
+        draws = registry.counter("fastsim.phase_error_draws").value
+        metrics.reset()
+        return samples, draws
+
+    def test_fig8_pool_run_records_what_an_in_parent_run_records(self):
+        parent_samples, parent_draws = self._fig8_telemetry(workers=1)
+        pool_samples, pool_draws = self._fig8_telemetry(
+            workers=2, backend="process"
+        )
+        assert len(parent_samples) > 0 and parent_draws > 0
+        assert pool_samples == parent_samples
+        assert pool_draws == parent_draws

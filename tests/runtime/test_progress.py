@@ -1,4 +1,4 @@
-"""Live sweep telemetry: progress events, rendering modes, fault paths."""
+"""Sweep progress: progress events, rendering modes, fault paths."""
 
 import io
 import math
@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro.obs import metrics
 from repro.obs.events import read_events
 from repro.obs.progress import SweepProgress, _progress_mode
 from repro.obs.tracer import trace
@@ -194,20 +193,6 @@ class TestDerivedGuards:
         assert tracker.trials_per_s == 0.0
         assert tracker.eta_s is None
 
-    def test_zero_workers_utilization_is_zero(self, monkeypatch):
-        tracker = self._tracker(monkeypatch, workers=0)
-        assert tracker.worker_utilization == 0.0
-
-    def test_utilization_tracks_tail_drain(self, monkeypatch):
-        tracker = self._tracker(monkeypatch)
-        assert tracker.worker_utilization == 1.0  # 4 chunks, 2 workers
-        tracker.chunk_done(2)
-        tracker.chunk_done(2)
-        tracker.chunk_done(2)
-        assert tracker.worker_utilization == 0.5  # 1 chunk left
-        tracker.chunk_done(2)
-        assert tracker.worker_utilization == 0.0
-
     def test_rendered_line_never_contains_inf_or_nan(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROGRESS", "1")
         stream = io.StringIO()
@@ -220,31 +205,9 @@ class TestDerivedGuards:
 
 
 class TestLivePublication:
-    def test_renders_mirror_into_the_timeseries_store(self, monkeypatch):
-        # what /timeseries serves: the registry's live rollups
-        monkeypatch.setenv("REPRO_PROGRESS", "0")
-        registry = metrics.get_registry()
-        names = ("runtime.trials_done", "runtime.trials_per_s",
-                 "runtime.workers_busy", "runtime.worker_utilization")
-        metrics.reset()
-        tracker = SweepProgress("s", total_chunks=2, total_trials=4,
-                                workers=2, stream=io.StringIO(),
-                                min_interval_s=0.0,
-                                noninteractive_interval_s=0.0)
-        tracker.chunk_done(2)
-        tracker.chunk_done(2)
-        tracker.close()
-        live = registry.rollups(names=list(names))
-        assert set(live) == set(names)
-        assert live["runtime.trials_done"]["last"] == 4.0
-        assert live["runtime.workers_busy"]["last"] == 0.0
-        # utilization is a histogram: one sample per rendered tick
-        assert live["runtime.worker_utilization"]["count"] == 4
-        assert live["runtime.worker_utilization"]["last"] == 0.0
-
     def test_serverless_run_never_imports_the_http_layer(self, monkeypatch):
-        # the publish path must not drag http.server into plain runs; it
-        # only talks to repro.obs.serve when something else loaded it
+        # progress is a stderr line and runtime.progress events: a sweep
+        # never drags an HTTP server into the process
         import subprocess
         import sys as _sys
 
@@ -255,7 +218,7 @@ class TestLivePublication:
             "                  min_interval_s=0.0,\n"
             "                  noninteractive_interval_s=0.0)\n"
             "t.chunk_done(1); t.close()\n"
-            "assert 'repro.obs.serve' not in sys.modules\n"
+            "assert 'http.server' not in sys.modules\n"
         )
         proc = subprocess.run(
             [_sys.executable, "-c", code], capture_output=True, text=True,
