@@ -99,11 +99,6 @@ def _common_options() -> argparse.ArgumentParser:
         help="do not append this run to the ledger",
     )
     group.add_argument(
-        "--fail-on-alert", action="store_true",
-        help="exit 3 when an alert rule fires in the end-of-run judge "
-             "(run commands)",
-    )
-    group.add_argument(
         "-v", "--verbose", action="count", default=0,
         help="log progress to stderr (-vv for debug)",
     )
@@ -112,6 +107,16 @@ def _common_options() -> argparse.ArgumentParser:
         help="only log errors to stderr",
     )
     return common
+
+
+def _run_options(common) -> argparse.ArgumentParser:
+    """``common`` plus the flags of the run commands (:data:`RUN_COMMANDS`)."""
+    run = argparse.ArgumentParser(add_help=False, parents=[common])
+    run.add_argument(
+        "--fail-on-alert", action="store_true",
+        help="exit 3 when an alert rule fires in the end-of-run judge",
+    )
+    return run
 
 
 def _add_figure_parser(subparsers, common) -> None:
@@ -248,15 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="MegaMIMO / JMB (SIGCOMM 2012) reproduction toolkit",
     )
     common = _common_options()
+    run = _run_options(common)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    _add_figure_parser(subparsers, common)
-    _add_ablation_parser(subparsers, common)
-    _add_simulate_parser(subparsers, common)
+    _add_figure_parser(subparsers, run)
+    _add_ablation_parser(subparsers, run)
+    _add_simulate_parser(subparsers, run)
     subparsers.add_parser(
-        "quickstart", parents=[common], help="2 APs jointly serve 2 clients"
+        "quickstart", parents=[run], help="2 APs jointly serve 2 clients"
     )
     subparsers.add_parser(
-        "report", parents=[common], help="regenerate all EXPERIMENTS.md tables"
+        "report", parents=[run], help="regenerate all EXPERIMENTS.md tables"
     )
     _add_obs_parser(subparsers, common)
     _add_lint_parser(subparsers, common)

@@ -25,7 +25,7 @@ time — the §5.2b strawman), ``"none"`` and ``"oracle"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -517,35 +517,20 @@ class MegaMimoSystem:
             w = precoders[b]  # (n_antennas, n_streams)
             # (n_antennas, n_symbols) = (n_antennas, n_streams) @ (n_streams, n_symbols)
             ap_grids[:, :, b] = w @ stream_grids[:, :, b]
-        samples = np.empty((n_aps, n_symbols * SYMBOL_LENGTH), dtype=complex)
-        for a in range(n_aps):
-            chunks = [
-                self._modulator.modulate_grid(ap_grids[a, m])
-                for m in range(n_symbols)
-            ]
-            samples[a] = np.concatenate(chunks)
-        return samples
+        return self._modulator.modulate_grid(ap_grids).reshape(n_aps, -1)
 
     def _stream_grids(self, payloads: Sequence[bytes], mcs: Mcs) -> np.ndarray:
         """Per-stream grids: 2 beamformed LTS symbols + SIGNAL + data."""
-        grids = []
-        n_symbols = None
-        for payload in payloads:
-            fd_symbols = self._encoder.encode(payload, mcs)  # (1+n_data, 48)
-            if n_symbols is None:
-                n_symbols = fd_symbols.shape[0]
-            require(
-                fd_symbols.shape[0] == n_symbols,
-                "all joint payloads must occupy the same number of symbols "
-                "(MegaMIMO gives every client the same rate, §9)",
-            )
-            stream = [lts_grid(), lts_grid()]
-            stream += [
-                self._modulator.symbol_grid(fd_symbols[m], symbol_index=m)
-                for m in range(fd_symbols.shape[0])
-            ]
-            grids.append(np.stack(stream))
-        return np.stack(grids)  # (n_streams, 2 + 1 + n_data, 64)
+        fd_symbols = [self._encoder.encode(payload, mcs) for payload in payloads]
+        n_symbols = fd_symbols[0].shape[0]  # 1 + n_data
+        require(
+            all(symbols.shape[0] == n_symbols for symbols in fd_symbols),
+            "all joint payloads must occupy the same number of symbols "
+            "(MegaMIMO gives every client the same rate, §9)",
+        )
+        data = self._modulator.symbol_grid(np.stack(fd_symbols), np.arange(n_symbols))
+        training = np.broadcast_to(lts_grid(), (len(payloads), 2, FFT_SIZE))
+        return np.concatenate([training, data], axis=1)  # (n_streams, 2 + 1 + n_data, 64)
 
     def _slave_correction(
         self,
@@ -696,15 +681,11 @@ class MegaMimoSystem:
                 tx = self.frontends[antenna].prepare_transmit(tx, enforce_power=False)
                 self.medium.transmit(antenna, tx, node_start)
 
-        # 5. client antennas receive and decode their streams
-        n_symbols = stream_grids.shape[1]
-        receptions = []
-        for stream_idx, row_idx in enumerate(streams):
-            node = self.client_antenna_ids[row_idx]
-            reception = self._receive_and_decode(
-                node, start_time, joint_start, n_symbols
-            )
-            receptions.append(reception)
+        # 5. client antennas receive their streams, then decode them together
+        clients = [self.client_antenna_ids[row_idx] for row_idx in streams]
+        receptions = self._receive_and_decode(
+            clients, start_time, joint_start, stream_grids.shape[1]
+        )
 
         self.medium.clear()
         return JointTransmissionReport(
@@ -782,14 +763,20 @@ class MegaMimoSystem:
             self.detection_failures += 1
         return self.medium.receive(node, start_time, header_len)
 
-    def _receive_and_decode(
+    def _receive(
         self,
         client: str,
         header_start: float,
         joint_start: float,
         n_symbols: int,
-    ) -> ClientReception:
-        """Standard-OFDM client receive chain for one joint frame."""
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Capture one client's joint frame and lock to the lead.
+
+        Returns the CFO-corrected SIGNAL + data symbols as
+        ``(n_symbols - 2, 80)`` samples and the effective channel estimated
+        from the two beamformed LTS symbols, or None when packet detection
+        misses the header.
+        """
         cfg = self.config
         fs = cfg.sample_rate
         total = int(round((joint_start - header_start) * fs)) + n_symbols * SYMBOL_LENGTH
@@ -802,17 +789,13 @@ class MegaMimoSystem:
                 )
             rx = self._detect_and_align(capture)
             if rx is None or rx.size < total:
-                return ClientReception(
-                    decoded=DecodedFrame(payload=None, crc_ok=False, mcs=None),
-                    effective_snr_db=-np.inf,
-                    evm_db=np.nan,
-                )
+                return None
             rx = rx[:total]
         else:
             with trace.span("channel_apply", node=client):
                 rx = self.medium.receive(client, header_start, total)
 
-        with trace.span("ofdm_demod", node=client):
+        with trace.span("rx_sync", node=client):
             # CFO lock to the lead from its sync header
             coarse = estimate_cfo_coarse(rx[:160], fs)
             lts_off = lts_symbol_offsets()[0]
@@ -827,26 +810,54 @@ class MegaMimoSystem:
                 s = joint_off + rep * SYMBOL_LENGTH + CP_LENGTH
                 est.append(estimate_channel_lts(rx[s : s + FFT_SIZE]))
             effective = average_channel_estimates(est)
+        data_start = joint_off + 2 * SYMBOL_LENGTH
+        frame = rx[data_start : data_start + (n_symbols - 2) * SYMBOL_LENGTH]
+        return frame.reshape(n_symbols - 2, SYMBOL_LENGTH), effective
 
-            # demodulate SIGNAL + data with pilot phase tracking
-            data_start = joint_off + 2 * SYMBOL_LENGTH
-            symbols = []
-            pilot_snrs = []
-            for m in range(n_symbols - 2):
-                s = data_start + m * SYMBOL_LENGTH
-                eq = self._demodulator.demodulate_symbol(
-                    rx[s : s + SYMBOL_LENGTH], effective, symbol_index=m
-                )
-                symbols.append(eq.data)
-                pilot_snrs.append(eq.pilot_snr)
-            symbols = np.stack(symbols)
-            noise_var = float(np.mean(1.0 / np.maximum(pilot_snrs, 1e-6)))
-        with trace.span("decode", node=client):
-            decoded = self._decoder.decode(symbols, noise_var=noise_var)
-        snr_db = float(linear_to_db(np.mean(pilot_snrs)))
-        return ClientReception(
-            decoded=decoded, effective_snr_db=snr_db, evm_db=decoded.evm_db
-        )
+    def _receive_and_decode(
+        self,
+        clients: Sequence[str],
+        header_start: float,
+        joint_start: float,
+        n_symbols: int,
+    ) -> List[ClientReception]:
+        """Standard-OFDM receive chain of every client of one joint frame.
+
+        Each client is captured and locked in turn (the medium draws its
+        noise in this order); then every locked frame is demodulated with
+        pilot phase tracking in one FFT and decoded in one batch.
+        """
+        captures = [
+            self._receive(client, header_start, joint_start, n_symbols)
+            for client in clients
+        ]
+        receptions = [
+            ClientReception(
+                decoded=DecodedFrame(payload=None, crc_ok=False, mcs=None),
+                effective_snr_db=-np.inf,
+                evm_db=np.nan,
+            )
+            for _ in clients
+        ]
+        locked = [i for i, capture in enumerate(captures) if capture is not None]
+        if not locked:
+            return receptions
+        with trace.span("ofdm_demod", n_frames=len(locked)):
+            eq = self._demodulator.demodulate_symbol(
+                np.stack([captures[i][0] for i in locked]),
+                np.stack([captures[i][1] for i in locked])[:, None, :],
+                symbol_index=np.arange(n_symbols - 2),
+            )
+            noise_var = np.mean(1.0 / np.maximum(eq.pilot_snr, 1e-6), axis=-1)
+        with trace.span("decode", n_frames=len(locked)):
+            decoded = self._decoder.decode(eq.data, noise_var=noise_var)
+        for i, frame, pilot_snrs in zip(locked, decoded, eq.pilot_snr):
+            receptions[i] = ClientReception(
+                decoded=frame,
+                effective_snr_db=float(linear_to_db(np.mean(pilot_snrs))),
+                evm_db=frame.evm_db,
+            )
+        return receptions
 
     # ------------------------------------------------------------------
     # diversity mode (§8)
@@ -916,11 +927,11 @@ class MegaMimoSystem:
             self.medium.transmit(antenna, tx, joint_start)
 
         reception = self._receive_and_decode(
-            self.client_antenna_ids[client_index],
+            [self.client_antenna_ids[client_index]],
             start_time,
             joint_start,
             stream_grids.shape[1],
-        )
+        )[0]
         self.medium.clear()
         return JointTransmissionReport(
             receptions=[reception],

@@ -38,20 +38,23 @@ class BlockInterleaver:
         self._inverse = np.argsort(j)
 
     def interleave(self, bits: np.ndarray) -> np.ndarray:
-        """Interleave one or more whole symbol blocks."""
-        bits = np.asarray(bits).ravel()
-        require(bits.size % self.n_cbps == 0, "input must be whole symbol blocks")
-        out = np.empty_like(bits)
-        blocks = bits.reshape(-1, self.n_cbps)
-        out = np.empty_like(blocks)
-        out[:, self._forward] = blocks
-        return out.ravel()
+        """Interleave whole symbol blocks along the last axis."""
+        bits = np.asarray(bits)
+        require(
+            bits.ndim >= 1 and bits.shape[-1] % self.n_cbps == 0,
+            "input must be whole symbol blocks",
+        )
+        out = np.empty(bits.shape, dtype=bits.dtype)
+        out.reshape(-1, self.n_cbps)[:, self._forward] = bits.reshape(-1, self.n_cbps)
+        return out
 
     def deinterleave(self, bits: np.ndarray) -> np.ndarray:
         """Invert :meth:`interleave` (works on soft values too)."""
-        bits = np.asarray(bits).ravel()
-        require(bits.size % self.n_cbps == 0, "input must be whole symbol blocks")
-        blocks = bits.reshape(-1, self.n_cbps)
-        out = np.empty_like(blocks)
-        out[:, self._inverse] = blocks
-        return out.ravel()
+        bits = np.asarray(bits)
+        require(
+            bits.ndim >= 1 and bits.shape[-1] % self.n_cbps == 0,
+            "input must be whole symbol blocks",
+        )
+        out = np.empty(bits.shape, dtype=bits.dtype)
+        out.reshape(-1, self.n_cbps)[:, self._inverse] = bits.reshape(-1, self.n_cbps)
+        return out

@@ -40,26 +40,25 @@ class Puncturer:
         return full * self.kept_per_period + int(self.pattern[:rem].sum())
 
     def puncture(self, coded_bits: np.ndarray) -> np.ndarray:
-        """Drop the masked positions from a mother-code bit stream."""
-        coded_bits = np.asarray(coded_bits).ravel()
-        mask = np.resize(self.pattern, coded_bits.size)
-        return coded_bits[mask]
+        """Drop the masked positions from ``(..., n)`` mother-code bits."""
+        coded_bits = np.atleast_1d(np.asarray(coded_bits))
+        return coded_bits[..., np.resize(self.pattern, coded_bits.shape[-1])]
 
     def depuncture(self, values: np.ndarray, n_coded: int) -> np.ndarray:
-        """Re-insert zero erasures to recover a length-``n_coded`` stream.
+        """Re-insert zero erasures to recover length-``n_coded`` streams.
 
         Args:
-            values: Received soft values for the transmitted positions.
+            values: ``(..., n_tx)`` received soft values for the transmitted
+                positions.
             n_coded: Length of the mother-coded stream before puncturing.
         """
-        values = np.asarray(values, dtype=float).ravel()
+        values = np.atleast_1d(np.asarray(values, dtype=float))
         expected = self.punctured_length(n_coded)
         require(
-            values.size == expected,
+            values.shape[-1] == expected,
             f"expected {expected} punctured values for {n_coded} coded bits, "
-            f"got {values.size}",
+            f"got {values.shape[-1]}",
         )
-        mask = np.resize(self.pattern, n_coded)
-        out = np.zeros(n_coded, dtype=float)
-        out[mask] = values
+        out = np.zeros(values.shape[:-1] + (n_coded,))
+        out[..., np.resize(self.pattern, n_coded)] = values
         return out

@@ -2,9 +2,28 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.utils.validation import require
+
+#: Period of the maximal-length x^7 + x^4 + 1 sequence.
+PERIOD = 127
+
+
+@lru_cache(maxsize=None)
+def _period(seed: int) -> np.ndarray:
+    """One period of the LFSR output from ``seed`` (read-only; cached for
+    each of the 127 seeds)."""
+    state = seed
+    out = np.empty(PERIOD, dtype=np.uint8)
+    for i in range(PERIOD):
+        bit = ((state >> 6) ^ (state >> 3)) & 1
+        state = ((state << 1) | bit) & 0x7F
+        out[i] = bit
+    out.setflags(write=False)
+    return out
 
 
 class Scrambler:
@@ -19,19 +38,14 @@ class Scrambler:
         self.seed = seed
 
     def keystream(self, n_bits: int) -> np.ndarray:
-        """Generate ``n_bits`` of the scrambling sequence."""
-        state = self.seed
-        out = np.empty(n_bits, dtype=np.uint8)
-        for i in range(n_bits):
-            bit = ((state >> 6) ^ (state >> 3)) & 1
-            state = ((state << 1) | bit) & 0x7F
-            out[i] = bit
-        return out
+        """Generate ``n_bits`` of the scrambling sequence (its 127-bit
+        period, tiled)."""
+        return np.resize(_period(self.seed), n_bits)
 
     def scramble(self, bits: np.ndarray) -> np.ndarray:
-        """XOR the data bits with the scrambler keystream."""
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        return bits ^ self.keystream(bits.size)
+        """XOR ``(..., n)`` data bits with the first ``n`` keystream bits."""
+        bits = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
+        return bits ^ self.keystream(bits.shape[-1])
 
     # descrambling is identical
     descramble = scramble

@@ -18,16 +18,29 @@ from typing import Optional
 
 import numpy as np
 
+from repro.constants import CONV_K
 from repro.phy.coding import BlockInterleaver, ConvolutionalCode, Puncturer, Scrambler
 from repro.phy.mcs import Mcs, get_mcs
 from repro.phy.modulation import get_modulation
-from repro.phy.ofdm import OfdmDemodulator, OfdmModulator
+from repro.phy.ofdm import OfdmModulator
 from repro.utils.validation import require
 
 _CRC_BYTES = 4
 _SIGNAL_BITS = 24
 #: RATE field encodings of 802.11-2012 Table 18-6, indexed by MCS index.
 _RATE_CODES = (0b1101, 0b1111, 0b0101, 0b0111, 0b1001, 0b1011, 0b0001, 0b0011)
+#: Bit positions of the SIGNAL field's RATE (bits 0..3) and LENGTH (5..16).
+_RATE_SHIFTS = np.arange(3, -1, -1)
+_LENGTH_SHIFTS = np.arange(12)
+
+
+def _payload_layout(length: int, mcs: Mcs):
+    """(info bits, mother-coded bits, transmitted bits, OFDM symbols) of a
+    ``length``-byte payload plus its CRC."""
+    n_bits = 8 * (length + _CRC_BYTES)
+    n_coded = 2 * (n_bits + CONV_K - 1)
+    n_tx = Puncturer(mcs.coding_rate).punctured_length(n_coded)
+    return n_bits, n_coded, n_tx, -(-n_tx // mcs.coded_bits_per_symbol)
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
@@ -92,11 +105,8 @@ class PhyFrameEncoder:
         """Build the 1-symbol SIGNAL field (BPSK, rate 1/2, no scrambling)."""
         require(0 < length < (1 << 12), "SIGNAL length must fit in 12 bits")
         bits = np.zeros(_SIGNAL_BITS, dtype=np.uint8)
-        rate_code = _RATE_CODES[mcs.index]
-        for i in range(4):  # RATE, transmitted MSB..LSB into bits 0..3
-            bits[i] = (rate_code >> (3 - i)) & 1
-        for i in range(12):  # LENGTH, LSB first in bits 5..16
-            bits[5 + i] = (length >> i) & 1
+        bits[:4] = _RATE_CODES[mcs.index] >> _RATE_SHIFTS & 1  # RATE, MSB first
+        bits[5:17] = length >> _LENGTH_SHIFTS & 1  # LENGTH, LSB first
         bits[17] = bits[:17].sum() % 2  # even parity
         # bits 18..23 are the all-zero SIGNAL tail; the convolutional
         # encoder's own zero-termination provides it, so encode bits 0..17.
@@ -144,104 +154,125 @@ class PhyFrameEncoder:
 
     def n_payload_symbols(self, payload_length: int, mcs: Mcs) -> int:
         """Number of OFDM data symbols a payload of given length occupies."""
-        n_bits = 8 * (payload_length + _CRC_BYTES)
-        n_coded = 2 * (n_bits + self._code.n_tail_bits)
-        puncturer = Puncturer(mcs.coding_rate)
-        n_tx = puncturer.punctured_length(n_coded)
-        return int(np.ceil(n_tx / mcs.coded_bits_per_symbol))
+        return _payload_layout(payload_length, mcs)[3]
 
 
 class PhyFrameDecoder:
-    """Decode equalized frequency-domain symbols back to payload bytes."""
+    """Decode equalized frequency-domain symbols back to payload bytes.
+
+    Every method is batch-first: leading axes are frames decoded together,
+    one Viterbi pass for all SIGNAL fields and one per group of frames
+    announcing the same MCS and length.  An unbatched input gives an
+    unbatched result; a batch gives a list in row-major order.
+    """
 
     def __init__(self, config: FrameConfig):
         self.config = config
         self._code = ConvolutionalCode()
-        self._demodulator = OfdmDemodulator()
 
-    def decode_signal_field(self, symbol: np.ndarray):
-        """Parse an equalized SIGNAL symbol; returns (mcs, length) or None."""
-        symbol = np.asarray(symbol, dtype=complex).ravel()
-        llrs = get_modulation("BPSK").demodulate_soft(symbol)
-        interleaver = BlockInterleaver(48, 1)
-        deinterleaved = interleaver.deinterleave(llrs)
-        bits = self._code.decode(deinterleaved, 18)
-        rate_code = 0
-        for i in range(4):
-            rate_code = (rate_code << 1) | int(bits[i])
-        if bits[:17].sum() % 2 != bits[17]:
-            return None
-        if rate_code not in _RATE_CODES:
-            return None
-        mcs = get_mcs(_RATE_CODES.index(rate_code))
-        length = 0
-        for i in range(12):
-            length |= int(bits[5 + i]) << i
-        if length == 0:
-            return None
-        return mcs, length
+    def decode_signal_field(self, symbols: np.ndarray):
+        """Parse equalized ``(..., 48)`` SIGNAL symbols; each frame gives
+        ``(mcs, length)`` or None."""
+        symbols = np.asarray(symbols, dtype=complex)
+        require(symbols.shape[-1:] == (48,), "a SIGNAL symbol has 48 data subcarriers")
+        llrs = get_modulation("BPSK").demodulate_soft(symbols.reshape(-1, 48))
+        deinterleaved = BlockInterleaver(48, 1).deinterleave(llrs)
+        parsed = [_parse_signal(bits) for bits in self._code.decode(deinterleaved, 18)]
+        return parsed if symbols.ndim > 1 else parsed[0]
 
     def decode_payload(
         self,
         symbols: np.ndarray,
         mcs: Mcs,
         length: int,
-        noise_var: float = 0.05,
-    ) -> DecodedFrame:
-        """Decode equalized (n_symbols, 48) data symbols to payload bytes."""
+        noise_var=0.05,
+    ):
+        """Decode equalized ``(..., n_symbols, 48)`` data symbols of frames
+        sharing ``mcs`` and ``length``; ``noise_var`` is a scalar or one
+        value per frame."""
         symbols = np.asarray(symbols, dtype=complex)
-        n_bits = 8 * (length + _CRC_BYTES)
-        n_coded = 2 * (n_bits + self._code.n_tail_bits)
-        puncturer = Puncturer(mcs.coding_rate)
-        n_tx = puncturer.punctured_length(n_coded)
-        n_symbols = int(np.ceil(n_tx / mcs.coded_bits_per_symbol))
+        require(symbols.ndim >= 2, "expected (..., n_symbols, 48) data symbols")
+        n_bits, n_coded, n_tx, n_symbols = _payload_layout(length, mcs)
         require(
-            symbols.shape[0] >= n_symbols,
-            f"need {n_symbols} data symbols, got {symbols.shape[0]}",
+            symbols.shape[-2] >= n_symbols,
+            f"need {n_symbols} data symbols, got {symbols.shape[-2]}",
         )
-        flat = symbols[:n_symbols].reshape(-1)
+        batch_shape = symbols.shape[:-2]
+        noise_var = np.broadcast_to(np.asarray(noise_var, dtype=float), batch_shape)
+        flat = symbols[..., :n_symbols, :].reshape(-1, n_symbols * symbols.shape[-1])
 
-        llrs = mcs.modulation.demodulate_soft(flat, noise_var=noise_var)
+        llrs = mcs.modulation.demodulate_soft(flat, noise_var=noise_var.reshape(-1))
         interleaver = BlockInterleaver(mcs.coded_bits_per_symbol, mcs.bits_per_subcarrier)
         deinterleaved = interleaver.deinterleave(llrs)
-        depunctured = puncturer.depuncture(deinterleaved[:n_tx], n_coded)
+        puncturer = Puncturer(mcs.coding_rate)
+        depunctured = puncturer.depuncture(deinterleaved[:, :n_tx], n_coded)
         scrambled = self._code.decode(depunctured, n_bits)
-
-        scrambler = Scrambler(self.config.scrambler_seed)
-        bits = scrambler.descramble(scrambled)
-        data = bits_to_bytes(bits)
-        payload, crc = data[:-_CRC_BYTES], data[-_CRC_BYTES:]
-        crc_ok = zlib.crc32(payload).to_bytes(_CRC_BYTES, "little") == crc
+        bits = Scrambler(self.config.scrambler_seed).descramble(scrambled)
 
         # EVM against nearest constellation point
-        hard = mcs.modulation.points[
-            np.argmin(np.abs(flat[:, None] - mcs.modulation.points[None, :]), axis=1)
-        ]
-        err = np.mean(np.abs(flat - hard) ** 2)
-        evm_db = float(10 * np.log10(max(err, 1e-12)))
-        return DecodedFrame(
-            payload=payload if crc_ok else None,
-            crc_ok=crc_ok,
-            mcs=mcs,
-            length=length,
-            evm_db=evm_db,
-        )
+        points = mcs.modulation.points
+        hard = points[np.argmin(np.abs(flat[..., None] - points), axis=-1)]
+        errs = np.mean(np.abs(flat - hard) ** 2, axis=-1)
 
-    def decode(self, symbols: np.ndarray, noise_var: float = 0.05) -> DecodedFrame:
-        """Decode a full frame: SIGNAL symbol followed by data symbols.
+        frames = []
+        for row, err in zip(bits, errs):
+            data = bits_to_bytes(row)
+            payload, crc = data[:-_CRC_BYTES], data[-_CRC_BYTES:]
+            crc_ok = zlib.crc32(payload).to_bytes(_CRC_BYTES, "little") == crc
+            frames.append(DecodedFrame(
+                payload=payload if crc_ok else None,
+                crc_ok=crc_ok,
+                mcs=mcs,
+                length=length,
+                evm_db=float(10 * np.log10(max(err, 1e-12))),
+            ))
+        return frames if batch_shape else frames[0]
+
+    def decode(self, symbols: np.ndarray, noise_var=0.05):
+        """Decode full frames: ``(..., n_symbols, 48)``, a SIGNAL symbol
+        followed by data symbols; ``noise_var`` is a scalar or one value
+        per frame.
 
         A corrupted SIGNAL field can mis-announce a length longer than the
         captured frame; a real receiver just drops such a frame, so that
         case returns a failed DecodedFrame rather than raising.
         """
         symbols = np.asarray(symbols, dtype=complex)
-        require(symbols.ndim == 2 and symbols.shape[0] >= 2, "frame too short")
-        parsed = self.decode_signal_field(symbols[0])
-        if parsed is None:
-            return DecodedFrame(payload=None, crc_ok=False, mcs=None)
-        mcs, length = parsed
-        try:
-            return self.decode_payload(symbols[1:], mcs, length, noise_var=noise_var)
-        except ValueError:
-            # announced length exceeds the capture: corrupted SIGNAL field
-            return DecodedFrame(payload=None, crc_ok=False, mcs=mcs, length=length)
+        require(symbols.ndim >= 2 and symbols.shape[-2] >= 2, "frame too short")
+        batch_shape = symbols.shape[:-2]
+        frames_in = symbols.reshape((-1,) + symbols.shape[-2:])
+        noise_var = np.broadcast_to(np.asarray(noise_var, dtype=float), batch_shape)
+        noise_var = noise_var.reshape(-1)
+
+        frames = [DecodedFrame(payload=None, crc_ok=False, mcs=None) for _ in frames_in]
+        groups = {}
+        for i, parsed in enumerate(self.decode_signal_field(frames_in[:, 0])):
+            if parsed is not None:
+                groups.setdefault(parsed, []).append(i)
+        for (mcs, length), rows in groups.items():
+            if _payload_layout(length, mcs)[3] > frames_in.shape[1] - 1:
+                # announced length exceeds the capture: corrupted SIGNAL field
+                decoded = [
+                    DecodedFrame(payload=None, crc_ok=False, mcs=mcs, length=length)
+                    for _ in rows
+                ]
+            else:
+                decoded = self.decode_payload(
+                    frames_in[rows, 1:], mcs, length, noise_var=noise_var[rows]
+                )
+            for i, frame in zip(rows, decoded):
+                frames[i] = frame
+        return frames if batch_shape else frames[0]
+
+
+def _parse_signal(bits: np.ndarray):
+    """``(mcs, length)`` from 18 decoded SIGNAL bits, or None if invalid."""
+    rate_code = int(bits[:4] @ (1 << _RATE_SHIFTS))
+    if bits[:17].sum() % 2 != bits[17]:
+        return None
+    if rate_code not in _RATE_CODES:
+        return None
+    length = int(bits[5:17] @ (1 << _LENGTH_SHIFTS))
+    if length == 0:
+        return None
+    return get_mcs(_RATE_CODES.index(rate_code)), length

@@ -98,16 +98,13 @@ class PointToPointLink:
         data_start = sync_header_length()
         n_symbols = (packet.n_samples - data_start) // SYMBOL_LENGTH
         require(n_symbols >= 2, "packet too short for SIGNAL + data")
-        symbols, pilot_snrs = [], []
-        for m in range(n_symbols):
-            s = data_start + m * SYMBOL_LENGTH
-            eq = self._demodulator.demodulate_symbol(
-                rx[s : s + SYMBOL_LENGTH], channel, symbol_index=m
-            )
-            symbols.append(eq.data)
-            pilot_snrs.append(eq.pilot_snr)
-        noise_var = float(np.mean(1.0 / np.maximum(pilot_snrs, 1e-6)))
-        return self._decoder.decode(np.stack(symbols), noise_var=noise_var)
+        frame = rx[data_start : data_start + n_symbols * SYMBOL_LENGTH]
+        eq = self._demodulator.demodulate_symbol(
+            frame.reshape(n_symbols, SYMBOL_LENGTH), channel,
+            symbol_index=np.arange(n_symbols),
+        )
+        noise_var = float(np.mean(1.0 / np.maximum(eq.pilot_snr, 1e-6)))
+        return self._decoder.decode(eq.data, noise_var=noise_var)
 
     def exchange(
         self, tx_node: str, rx_node: str, payload: bytes, start_time: float

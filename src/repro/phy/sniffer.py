@@ -92,18 +92,13 @@ class PacketSniffer:
                 cfo_hz=cfo,
                 decoded=DecodedFrame(payload=None, crc_ok=False, mcs=mcs, length=length),
             )
-        symbols, pilot_snrs = [], []
-        for m in range(1, 1 + n_data):
-            s = data_start + m * SYMBOL_LENGTH
-            eq = self._demodulator.demodulate_symbol(
-                rx[s : s + SYMBOL_LENGTH], channel, symbol_index=m
-            )
-            symbols.append(eq.data)
-            pilot_snrs.append(eq.pilot_snr)
-        noise_var = float(np.mean(1.0 / np.maximum(pilot_snrs, 1e-6)))
-        decoded = self._decoder.decode_payload(
-            np.stack(symbols), mcs, length, noise_var=noise_var
+        eq = self._demodulator.demodulate_symbol(
+            rx[data_start + SYMBOL_LENGTH : needed].reshape(n_data, SYMBOL_LENGTH),
+            channel,
+            symbol_index=np.arange(1, 1 + n_data),
         )
+        noise_var = float(np.mean(1.0 / np.maximum(eq.pilot_snr, 1e-6)))
+        decoded = self._decoder.decode_payload(eq.data, mcs, length, noise_var=noise_var)
         return SniffedPacket(
             sample_offset=header_start, cfo_hz=cfo, decoded=decoded
         )

@@ -91,6 +91,16 @@ class TestViterbi:
         with pytest.raises(ValueError):
             code.decode(np.zeros(5), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_llrs(self, code, bad):
+        """A NaN would otherwise lose every compare and decode silently."""
+        llrs = 1.0 - 2.0 * code.encode(np.zeros(20, dtype=np.uint8)).astype(float)
+        llrs[11] = bad
+        with pytest.raises(ValueError, match="finite"):
+            code.decode(llrs, 20)
+        with pytest.raises(ValueError, match="finite"):
+            code.decode(np.stack([np.ones_like(llrs), llrs]), 20)
+
     def test_empty_payload_edge(self, code):
         coded = code.encode(np.zeros(0, dtype=np.uint8))
         assert coded.size == 2 * code.n_tail_bits

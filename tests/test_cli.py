@@ -49,6 +49,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--alerts", "a.toml"])
 
+    @pytest.mark.parametrize("command", [
+        ["figure", "6"], ["ablation", "sync"], ["simulate"], ["quickstart"], ["report"],
+    ])
+    def test_fail_on_alert_parses_on_run_commands(self, command):
+        assert build_parser().parse_args([*command, "--fail-on-alert"]).fail_on_alert
+
+    @pytest.mark.parametrize("command", [
+        ["obs", "runs", "list"], ["obs", "regress"], ["obs", "profile", "t.jsonl"], ["lint"],
+    ])
+    def test_fail_on_alert_is_an_error_off_the_run_commands(self, command, capsys):
+        # these commands judge nothing, so the flag would be a silent no-op
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--fail-on-alert"])
+        assert exc.value.code == 2
+        assert "--fail-on-alert" in capsys.readouterr().err
+
     def test_serve_port_is_gone(self, capsys):
         # alerts are judged once at the end of the run; there is no server
         with pytest.raises(SystemExit) as exc:
