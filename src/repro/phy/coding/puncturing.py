@@ -39,10 +39,14 @@ class Puncturer:
         full, rem = divmod(n_coded, self.period)
         return full * self.kept_per_period + int(self.pattern[:rem].sum())
 
+    def _mask(self, n_coded: int) -> np.ndarray:
+        """Keep-mask over ``n_coded`` mother bits: the pattern, tiled."""
+        return np.tile(self.pattern, -(-n_coded // self.period))[:n_coded]
+
     def puncture(self, coded_bits: np.ndarray) -> np.ndarray:
         """Drop the masked positions from ``(..., n)`` mother-code bits."""
         coded_bits = np.atleast_1d(np.asarray(coded_bits))
-        return coded_bits[..., np.resize(self.pattern, coded_bits.shape[-1])]
+        return coded_bits[..., self._mask(coded_bits.shape[-1])]
 
     def depuncture(self, values: np.ndarray, n_coded: int) -> np.ndarray:
         """Re-insert zero erasures to recover length-``n_coded`` streams.
@@ -60,5 +64,5 @@ class Puncturer:
             f"got {values.shape[-1]}",
         )
         out = np.zeros(values.shape[:-1] + (n_coded,))
-        out[..., np.resize(self.pattern, n_coded)] = values
+        out[..., self._mask(n_coded)] = values
         return out

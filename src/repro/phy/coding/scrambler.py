@@ -40,7 +40,7 @@ class Scrambler:
     def keystream(self, n_bits: int) -> np.ndarray:
         """Generate ``n_bits`` of the scrambling sequence (its 127-bit
         period, tiled)."""
-        return np.resize(_period(self.seed), n_bits)
+        return np.tile(_period(self.seed), -(-n_bits // PERIOD))[:n_bits]
 
     def scramble(self, bits: np.ndarray) -> np.ndarray:
         """XOR ``(..., n)`` data bits with the first ``n`` keystream bits."""

@@ -43,6 +43,11 @@ def _payload_layout(length: int, mcs: Mcs):
     return n_bits, n_coded, n_tx, -(-n_tx // mcs.coded_bits_per_symbol)
 
 
+def n_payload_symbols(length: int, mcs: Mcs) -> int:
+    """Number of OFDM data symbols a ``length``-byte payload occupies."""
+    return _payload_layout(length, mcs)[3]
+
+
 def bytes_to_bits(data: bytes) -> np.ndarray:
     """LSB-first byte-to-bit expansion (802.11 bit ordering)."""
     arr = np.frombuffer(bytes(data), dtype=np.uint8)
@@ -154,7 +159,7 @@ class PhyFrameEncoder:
 
     def n_payload_symbols(self, payload_length: int, mcs: Mcs) -> int:
         """Number of OFDM data symbols a payload of given length occupies."""
-        return _payload_layout(payload_length, mcs)[3]
+        return n_payload_symbols(payload_length, mcs)
 
 
 class PhyFrameDecoder:
@@ -250,7 +255,7 @@ class PhyFrameDecoder:
             if parsed is not None:
                 groups.setdefault(parsed, []).append(i)
         for (mcs, length), rows in groups.items():
-            if _payload_layout(length, mcs)[3] > frames_in.shape[1] - 1:
+            if n_payload_symbols(length, mcs) > frames_in.shape[1] - 1:
                 # announced length exceeds the capture: corrupted SIGNAL field
                 decoded = [
                     DecodedFrame(payload=None, crc_ok=False, mcs=mcs, length=length)

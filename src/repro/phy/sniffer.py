@@ -17,7 +17,7 @@ from repro.constants import FFT_SIZE, SYMBOL_LENGTH
 from repro.phy.cfo import apply_cfo, combine_cfo, estimate_cfo_coarse, estimate_cfo_fine
 from repro.phy.channel_est import average_channel_estimates, estimate_channel_lts
 from repro.phy.detection import detect_packet, ideal_lts_offset
-from repro.phy.frame import DecodedFrame, FrameConfig, PhyFrameDecoder
+from repro.phy.frame import DecodedFrame, FrameConfig, PhyFrameDecoder, n_payload_symbols
 from repro.phy.ofdm import OfdmDemodulator
 from repro.phy.preamble import lts_symbol_offsets, sync_header_length
 
@@ -80,11 +80,7 @@ class PacketSniffer:
                 decoded=DecodedFrame(payload=None, crc_ok=False, mcs=None),
             )
         mcs, length = parsed
-        from repro.phy.frame import PhyFrameEncoder
-
-        n_data = PhyFrameEncoder(
-            FrameConfig(sample_rate=fs)
-        ).n_payload_symbols(length, mcs)
+        n_data = n_payload_symbols(length, mcs)
         needed = data_start + (1 + n_data) * SYMBOL_LENGTH
         if rx.size < needed:
             return SniffedPacket(
@@ -123,11 +119,7 @@ class PacketSniffer:
                 break
             packets.append(packet)
             if packet.decoded.mcs is not None:
-                from repro.phy.frame import PhyFrameEncoder
-
-                n_data = PhyFrameEncoder(
-                    FrameConfig(sample_rate=self.sample_rate)
-                ).n_payload_symbols(packet.decoded.length, packet.decoded.mcs)
+                n_data = n_payload_symbols(packet.decoded.length, packet.decoded.mcs)
                 cursor = header_start + sync_header_length() + (1 + n_data) * SYMBOL_LENGTH
             else:
                 cursor = header_start + sync_header_length()

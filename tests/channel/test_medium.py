@@ -1,9 +1,11 @@
 """The shared medium: superposition, delays, oscillator rotation."""
 
+import bisect
+
 import numpy as np
 import pytest
 
-from repro.channel.medium import Medium, fractional_delay
+from repro.channel.medium import Medium, fast_fft_length, fractional_delay
 from repro.channel.models import LinkChannel
 from repro.channel.oscillator import Oscillator, OscillatorConfig
 
@@ -44,6 +46,78 @@ class TestFractionalDelay:
         x = np.array([0.0, 0.0, 1.0, 2.0], dtype=complex)
         out = fractional_delay(x, -2.0)
         assert np.allclose(out[:2], [1.0, 2.0])
+
+
+def one_zero_pad_delay(samples, delay_samples):
+    """The fractional part of ``fractional_delay`` as it was before the fast
+    FFT length: the ramp over an ``n + 1``-point transform (one zero of
+    guard).  Kept only as an accuracy oracle."""
+    n = samples.size + 1
+    spectrum = np.fft.fft(np.concatenate([samples, [0.0]]))
+    spectrum *= np.exp(-2j * np.pi * np.fft.fftfreq(n) * delay_samples)
+    return np.fft.ifft(spectrum)[: samples.size]
+
+
+def padded_delay(samples, delay_samples, n=None):
+    """The ramp over an ``n``-point transform, by default ``8 * size`` (a
+    near-linear reference)."""
+    n = 8 * samples.size if n is None else n
+    spectrum = np.fft.fft(samples, n)
+    spectrum *= np.exp(-2j * np.pi * np.fft.fftfreq(n) * delay_samples)
+    return np.fft.ifft(spectrum)[: samples.size]
+
+
+def ofdm_like(n, rng):
+    """``n`` samples of cyclic-prefixed 64-point OFDM on the 52 used bins."""
+    n_symbols = -(-n // 80)
+    used = np.r_[1:27, 38:64]
+    spectrum = np.zeros((n_symbols, 64), dtype=complex)
+    spectrum[:, used] = rng.choice([-1.0, 1.0], (n_symbols, 52, 2)) @ [1.0, 1j]
+    symbols = np.fft.ifft(spectrum, axis=1)
+    return np.concatenate([symbols[:, -16:], symbols], axis=1).ravel()[:n]
+
+
+class TestFastFftLength:
+    def test_smallest_smooth_length(self):
+        limit = 50_001
+        smooth = sorted(
+            2**a * 3**b * 5**c
+            for a in range(18)
+            for b in range(11)
+            for c in range(8)
+            if 2**a * 3**b * 5**c <= 2 * limit
+        )
+        for n in range(limit):
+            assert fast_fft_length(n + 1) == smooth[bisect.bisect_left(smooth, n + 1)]
+
+    def test_small_lengths(self):
+        assert [fast_fft_length(n) for n in range(12)] == [1, 1, 2, 3, 4, 5, 6, 8, 8, 9, 10, 12]
+
+
+class TestFractionalDelayAccuracy:
+    @pytest.mark.parametrize("n", [320, 333, 1200, 1201, 3040, 10320, 20320, 40400])
+    def test_no_worse_than_one_zero_pad(self, n):
+        x = ofdm_like(n, np.random.default_rng(n))
+        rms = np.sqrt(np.mean(np.abs(x) ** 2))
+        for delay in (0.1, 0.37, 0.5, 0.9):
+            reference = padded_delay(x, delay)
+            new = np.max(np.abs(fractional_delay(x, delay) - reference)) / rms
+            old = np.max(np.abs(one_zero_pad_delay(x, delay) - reference)) / rms
+            assert new <= old
+
+    @pytest.mark.parametrize("n", [*range(12), 319, 320, 1201, 10320])
+    def test_ramp_matches_direct_exponential(self, n):
+        x = np.random.default_rng(n).normal(size=(n, 2)) @ [1.0, 1j]
+        for delay in (0.01, 0.5, 0.99):
+            direct = padded_delay(x, delay, fast_fft_length(n + 1))
+            assert np.allclose(fractional_delay(x, delay), direct, rtol=0, atol=1e-12)
+
+    def test_integer_part_and_length(self):
+        x = ofdm_like(1201, np.random.default_rng(0))
+        out = fractional_delay(x, 3.25)
+        assert out.size == x.size + 3
+        assert np.array_equal(out[:3], np.zeros(3))
+        assert np.allclose(out[3:], fractional_delay(x, 0.25))
 
 
 class TestMediumBasics:

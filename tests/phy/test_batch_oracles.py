@@ -93,6 +93,32 @@ class TestViterbi:
             assert np.array_equal(batch[idx], ref.sequential_viterbi(llrs[idx], n))
 
 
+class TestTiledMasks:
+    """The tiled puncture masks and keystream against ``np.resize``, the
+    form they replaced (it concatenates a tuple of one array per period)."""
+
+    @pytest.mark.parametrize("rate", [(1, 2), (2, 3), (3, 4)])
+    def test_puncture_mask(self, rate):
+        p = Puncturer(rate)
+        for n in range(2001):
+            mask = np.resize(p.pattern, n)
+            coded = np.arange(n)
+            assert np.array_equal(p.puncture(coded), coded[mask])
+            kept = mask.sum()
+            values = np.arange(1.0, kept + 1.0)
+            expected = np.zeros(n)
+            expected[mask] = values
+            assert np.array_equal(p.depuncture(values, n), expected)
+
+    @pytest.mark.parametrize("seed", [1, 0b1011101, 127])
+    def test_keystream(self, seed):
+        period = ref.lfsr_keystream(seed, 127)
+        for n in range(2001):
+            keystream = Scrambler(seed).keystream(n)
+            assert keystream.dtype == np.uint8
+            assert np.array_equal(keystream, np.resize(period, n))
+
+
 class TestKeystream:
     @pytest.mark.parametrize("seed", [1, 0b1011101, 127])
     @pytest.mark.parametrize("n", [0, 1, 126, 127, 128, 254, 255, 1000])

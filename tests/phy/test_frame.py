@@ -9,6 +9,7 @@ from repro.phy.frame import (
     PhyFrameEncoder,
     bits_to_bytes,
     bytes_to_bits,
+    n_payload_symbols,
 )
 from repro.phy.mcs import ALL_MCS, get_mcs
 
@@ -114,6 +115,12 @@ class TestPayloadRoundtrip:
             payload = bytes(333)
             frame = enc.encode(payload, mcs)
             assert frame.shape[0] == 1 + enc.n_payload_symbols(len(payload), mcs)
+
+    def test_module_symbol_count_needs_no_encoder(self, codec):
+        enc, _ = codec
+        for mcs in ALL_MCS:
+            for length in range(1601):
+                assert n_payload_symbols(length, mcs) == enc.n_payload_symbols(length, mcs)
 
     def test_single_byte_payload(self, codec):
         enc, dec = codec
