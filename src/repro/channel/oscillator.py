@@ -116,24 +116,3 @@ class Oscillator:
     def rotation_at(self, times) -> np.ndarray:
         """``exp(j * phase)`` at the given times."""
         return np.exp(1j * self.phase_at(times))
-
-
-def random_oscillator(
-    rng=None,
-    max_ppm: float = 2.0,
-    phase_noise_rad2_per_s: float = 0.25,
-    carrier_frequency: float = CARRIER_FREQUENCY,
-) -> Oscillator:
-    """Draw an oscillator with a uniform ppm error in ``[-max_ppm, max_ppm]``.
-
-    The default 2 ppm reflects decent crystals (USRP2-class); pass 20 for
-    worst-case 802.11-legal hardware.
-    """
-    rng = ensure_rng(rng)
-    config = OscillatorConfig(
-        ppm_offset=float(rng.uniform(-max_ppm, max_ppm)),
-        phase_noise_rad2_per_s=phase_noise_rad2_per_s,
-        carrier_frequency=carrier_frequency,
-        initial_phase=float(rng.uniform(-np.pi, np.pi)),
-    )
-    return Oscillator(config, rng=rng)

@@ -261,30 +261,3 @@ def snr_reduction_grid(
         / (intf[..., None, :, :] + noise[..., :, None, None])
     )  # (..., S, M, C)
     return linear_to_db(aligned)[..., :, None, :] - linear_to_db(misaligned)
-
-
-def interference_to_noise_ratio(
-    channel: np.ndarray,
-    precoder: np.ndarray,
-    noise_power: float,
-    phase_errors: np.ndarray,
-    nulled_client: int,
-) -> float:
-    """INR at a client where all streams are nulled (Fig. 8 methodology).
-
-    "we choose a client at which all APs null their interference ... and
-    measure the received signal power at that client" — the precoder carries
-    no stream for ``nulled_client``, so anything it receives beyond noise is
-    misalignment leakage.
-    """
-    channel = np.asarray(channel, dtype=complex)
-    precoder = np.asarray(precoder, dtype=complex)
-    phase_errors = np.asarray(phase_errors, dtype=float)
-    rotation = np.exp(1j * phase_errors)
-    row = channel[nulled_client] * rotation
-    received = row @ precoder
-    # no stream is transmitted for the nulled client, so only the other
-    # clients' streams can leak power into it
-    others = np.ones(received.size, dtype=bool)
-    others[nulled_client] = False
-    return float(np.sum(np.abs(received[others]) ** 2) / noise_power)

@@ -101,80 +101,6 @@ class CsiFeedbackCodec:
         return quantized, self.airtime_s(channels.shape[0], channels.shape[1])
 
 
-#: first byte of every serialized CSI report
-_REPORT_MAGIC = 0xC5
-#: magic(1) + n_tx(1) + bits(1) + n_bins(2) + noise(4) + scale(4)
-_REPORT_HEADER_BYTES = 13
-
-
-def serialize_report(
-    channels: np.ndarray, noise_power: float, bits: int = 8
-) -> bytes:
-    """Pack one client's CSI report into bytes for over-the-air feedback.
-
-    Layout: magic byte, n_tx, n_bins (uint16), noise power (float32),
-    shared scale (float32), then int8/int16 fixed-point real/imag pairs in
-    (bin, tx) order.
-
-    Args:
-        channels: (n_bins, n_tx) complex estimates (occupied bins only).
-        noise_power: The client's measured noise floor (§9: "Clients send
-            the noise N to APs along with the measured channels").
-        bits: 8 or 16 per real component.
-    """
-    require(bits in (8, 16), "supported widths: 8 or 16 bits per component")
-    channels = np.asarray(channels, dtype=complex)
-    require(channels.ndim == 2, "report is (n_bins, n_tx)")
-    n_bins, n_tx = channels.shape
-    require(n_tx < 256 and n_bins < 65536, "report dimensions out of range")
-
-    components = np.concatenate([channels.real.ravel(), channels.imag.ravel()])
-    scale = float(np.max(np.abs(components))) if components.size else 0.0
-    levels = (1 << (bits - 1)) - 1
-    if scale > 0:
-        fixed = np.round(components / scale * levels)
-    else:
-        fixed = np.zeros_like(components)
-    dtype = np.int8 if bits == 8 else np.int16
-    fixed = np.clip(fixed, -levels - 1, levels).astype(dtype)
-
-    header = bytes([_REPORT_MAGIC, n_tx, bits]) + (
-        int(n_bins).to_bytes(2, "little")
-        + np.float32(noise_power).tobytes()
-        + np.float32(scale).tobytes()
-    )
-    return header + fixed.tobytes()
-
-
-def deserialize_report(data: bytes):
-    """Unpack :func:`serialize_report` output.
-
-    Returns:
-        (channels, noise_power): the (n_bins, n_tx) complex estimates and
-        the reported noise floor.
-
-    Raises:
-        ValueError: On a malformed or truncated report.
-    """
-    data = bytes(data)
-    require(len(data) >= 13, "report too short")
-    require(data[0] == _REPORT_MAGIC, "bad report magic")
-    n_tx, bits = data[1], data[2]
-    require(bits in (8, 16), "bad component width")
-    n_bins = int.from_bytes(data[3:5], "little")
-    noise_power = float(np.frombuffer(data[5:9], dtype=np.float32)[0])
-    scale = float(np.frombuffer(data[9:13], dtype=np.float32)[0])
-    dtype = np.int8 if bits == 8 else np.int16
-    n_components = 2 * n_bins * n_tx
-    body = np.frombuffer(data[13:], dtype=dtype)
-    require(body.size == n_components, "truncated report body")
-    levels = (1 << (bits - 1)) - 1
-    components = body.astype(float) / levels * scale
-    real = components[: n_bins * n_tx].reshape(n_bins, n_tx)
-    imag = components[n_bins * n_tx :].reshape(n_bins, n_tx)
-    return real + 1j * imag, noise_power
-
-
 def apply_feedback_quantization(
     channel_tensor: np.ndarray, bits: int
 ) -> np.ndarray:

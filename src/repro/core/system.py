@@ -91,12 +91,6 @@ class SystemConfig:
         model_sfo: Apply DAC sampling-clock skew on transmit.
         use_detection: Locate packets via STS/LTS detection instead of
             genie timing (realistic receive path; slightly slower).
-        in_band_feedback: Clients transmit their CSI reports as real PHY
-            frames that the lead AP decodes (quantized, CRC-checked),
-            instead of the ideal control-plane hand-off.  A report that
-            fails its CRC falls back to the ideal estimate and increments
-            ``feedback_failures`` (§5.1b: receivers "communicate these
-            estimated channels back ... over the wireless channel").
         mixed_mode: §6.1 timing — slaves join immediately after the lead's
             legacy preamble (hardware-speed turnaround) instead of waiting
             the USRP implementation's 150 us software turnaround.  Shorter
@@ -118,7 +112,6 @@ class SystemConfig:
     sync_strategy: str = "megamimo"
     model_sfo: bool = True
     use_detection: bool = False
-    in_band_feedback: bool = False
     mixed_mode: bool = False
     timing: Optional[TimingConfig] = None
     seed: Optional[int] = None
@@ -233,8 +226,6 @@ class MegaMimoSystem:
         self._sounding_cfos: Dict[str, float] = {}
         #: genie-fallback count when packet detection misses a header
         self.detection_failures = 0
-        #: ideal-fallback count when an in-band CSI report fails its CRC
-        self.feedback_failures = 0
         # telemetry handles (cached once per system)
         self._obs_snr = metrics.histogram("system.effective_snr_db")
         self._obs_evm = metrics.histogram("system.evm_db")
@@ -398,11 +389,6 @@ class MegaMimoSystem:
             rx = self.medium.receive(client_antenna, start_time, plan.frame_length)
             estimates.append(estimate_at_client(rx, plan))
 
-        if cfg.in_band_feedback:
-            estimates = self._collect_in_band_feedback(
-                estimates, start_time + plan.frame_length / cfg.sample_rate
-            )
-
         self.medium.clear()
         self.sounding_result = SoundingResult(
             client_estimates=estimates, reference_time=reference_time
@@ -411,49 +397,6 @@ class MegaMimoSystem:
         self._client_noise = np.array([e.noise_power for e in estimates])
         self.reference_time = reference_time
         return self.sounding_result
-
-    def _collect_in_band_feedback(self, ideal_estimates, start_time: float):
-        """Replace ideal feedback with decoded over-the-air CSI reports.
-
-        Each client antenna serializes its (occupied-bin) estimates and
-        noise floor, and transmits them sequentially as QPSK-1/2 frames;
-        the lead AP decodes each and reconstructs the estimate.  CRC
-        failures fall back to the ideal hand-off.
-        """
-        from repro.core.feedback import deserialize_report, serialize_report
-        from repro.core.sounding import ClientSoundingEstimate
-        from repro.phy.link import PointToPointLink
-
-        fs = self.config.sample_rate
-        occupied = np.nonzero(np.abs(lts_grid()) > 0)[0]
-        link = PointToPointLink(self.medium)
-        guard = 200  # samples between the sounding frame and each report
-
-        out = []
-        t = start_time + guard / fs
-        for est, client_antenna in zip(ideal_estimates, self.client_antenna_ids):
-            report = serialize_report(
-                est.channels[:, occupied].T, est.noise_power, bits=8
-            )
-            t = round(t * fs) / fs
-            packet = link.send(client_antenna, report, t)
-            decoded = link.receive(self.lead_antenna, packet)
-            t += (packet.n_samples + guard) / fs
-            if decoded.crc_ok:
-                channels_occ, noise_power = deserialize_report(decoded.payload)
-                channels = np.zeros_like(est.channels)
-                channels[:, occupied] = channels_occ.T
-                out.append(
-                    ClientSoundingEstimate(
-                        channels=channels,
-                        cfos_hz=est.cfos_hz,
-                        noise_power=noise_power,
-                    )
-                )
-            else:
-                self.feedback_failures += 1
-                out.append(est)
-        return out
 
     # ------------------------------------------------------------------
     # joint transmission (§5.2)

@@ -3,19 +3,13 @@ backend, lead election, joint-transmission grouping, weighted carrier
 sense, effective-SNR rate selection and asynchronous acknowledgments."""
 
 from repro.mac.arq import ArqController, PacketStatus
-from repro.mac.baseline import (
-    baseline_80211_throughput,
-    baseline_80211n_throughput,
-    megamimo_throughput_from_rates,
-)
 from repro.mac.csma import CsmaSimulator, Station
 from repro.mac.queue import DownlinkQueue, Packet
-from repro.mac.rate import EffectiveSnrRateSelector, effective_snr_db, select_mcs_for_snr
+from repro.mac.rate import EffectiveSnrRateSelector, effective_snr_db
 from repro.mac.scheduler import JointScheduler, TransmissionGroup
 
 __all__ = [
     "EffectiveSnrRateSelector",
-    "select_mcs_for_snr",
     "effective_snr_db",
     "DownlinkQueue",
     "Packet",
@@ -25,7 +19,4 @@ __all__ = [
     "Station",
     "ArqController",
     "PacketStatus",
-    "baseline_80211_throughput",
-    "baseline_80211n_throughput",
-    "megamimo_throughput_from_rates",
 ]

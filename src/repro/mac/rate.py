@@ -73,15 +73,6 @@ def effective_snr_db(subcarrier_snr_db, bits_per_symbol: int) -> float:
     return float(linear_to_db(snr_for_ber(mean_ber, bits_per_symbol)))
 
 
-def select_mcs_for_snr(snr_db: float) -> Optional[Mcs]:
-    """Fastest MCS whose threshold a flat SNR clears; None below all."""
-    best = None
-    for mcs in ALL_MCS:
-        if snr_db >= mcs.min_snr_db:
-            best = mcs
-    return best
-
-
 @dataclass
 class RateDecision:
     """Output of the rate selector.

@@ -8,11 +8,7 @@ carrier-frequency-offset estimation and least-squares channel estimation.
 """
 
 from repro.phy.cfo import CfoTracker, apply_cfo, estimate_cfo_coarse, estimate_cfo_fine
-from repro.phy.channel_est import (
-    average_channel_estimates,
-    estimate_channel_lts,
-    rotate_channel_to_reference,
-)
+from repro.phy.channel_est import average_channel_estimates, estimate_channel_lts
 from repro.phy.frame import FrameConfig, PhyFrameDecoder, PhyFrameEncoder
 from repro.phy.modulation import Modulation, get_modulation
 from repro.phy.ofdm import OfdmDemodulator, OfdmModulator
@@ -40,6 +36,5 @@ __all__ = [
     "apply_cfo",
     "CfoTracker",
     "estimate_channel_lts",
-    "rotate_channel_to_reference",
     "average_channel_estimates",
 ]

@@ -1,9 +1,9 @@
 """Least-squares channel estimation from LTS symbols.
 
-Also provides the two operations MegaMIMO's sounding phase needs beyond
-vanilla 802.11 (§5.1b): averaging repeated per-AP estimates to beat down
-noise, and rotating an estimate taken at time ``t`` back to the common
-reference time ``t = 0`` using the measured CFO.
+Also provides the two operations MegaMIMO needs beyond vanilla 802.11:
+averaging repeated per-AP estimates to beat down noise (§5.1b), and the
+phasor between two measurements of the lead channel from which a slave
+derives its phase correction (§5.2b).
 """
 
 from __future__ import annotations
@@ -38,32 +38,6 @@ def average_channel_estimates(estimates) -> np.ndarray:
     for e in estimates:
         require(e.size == FFT_SIZE, "estimates must be 64-bin arrays")
     return np.mean(np.stack(estimates), axis=0)
-
-
-def rotate_channel_to_reference(
-    channel: np.ndarray,
-    cfo_hz: float,
-    elapsed_s: float,
-) -> np.ndarray:
-    """Undo the CFO rotation accumulated between reference time and ``t``.
-
-    A channel measured ``elapsed_s`` after the reference time has rotated by
-    ``exp(j 2 pi cfo elapsed)``; multiplying by the conjugate phase restores
-    the value it had at the reference time (paper §5.1b: the receiver rotates
-    AP i's estimate by ``e^{-j dw_i ((i-1)kT + D)}``).
-    """
-    channel = np.asarray(channel, dtype=complex)
-    return channel * np.exp(-2j * np.pi * float(cfo_hz) * float(elapsed_s))
-
-
-def channel_phase(channel: np.ndarray) -> float:
-    """Energy-weighted mean phase of a 64-bin channel estimate.
-
-    Used by slave APs to summarize the lead->slave channel rotation into a
-    single correction phase when the channel is frequency-flat.
-    """
-    channel = np.asarray(channel, dtype=complex).ravel()
-    return float(np.angle(np.sum(channel * np.abs(channel))))
 
 
 def channel_rotation(reference: np.ndarray, current: np.ndarray) -> complex:

@@ -94,11 +94,6 @@ def detect_packet(
     )
 
 
-def first_lts_offset(detection: DetectionResult) -> int:
-    """Sample index of the first LTS copy from a detection result."""
-    return detection.lts_start
-
-
 def ideal_lts_offset(packet_start: int) -> int:
     """Where the first LTS copy sits for a packet starting at ``packet_start``.
 

@@ -13,8 +13,8 @@ Public surface:
 * :func:`run_chunk` / :func:`run_chunk_batched` — one work item: the
   instrumented unit every backend and the retry path run, and the single
   kernel call inside it.
-* :func:`seed_sequence` / :func:`task_rng` / :func:`spawn_key` — per-task
-  seed derivation (:mod:`repro.runtime.seeding`).
+* :func:`seed_sequence` / :func:`spawn_key` — per-task seed derivation
+  (:mod:`repro.runtime.seeding`).
 * Checkpoint plumbing (:mod:`repro.runtime.checkpoint`).
 * :class:`ChunkWatchdog` — parent-side stall monitor that abandons hung
   workers and reroutes their chunks through the serial-retry path
@@ -51,7 +51,7 @@ from repro.runtime.engine import (
     run_sweep,
 )
 from repro.runtime.faults import HANG_CHUNK_ENV, HangCancelled
-from repro.runtime.seeding import seed_sequence, spawn_key, task_rng
+from repro.runtime.seeding import seed_sequence, spawn_key
 from repro.runtime.watchdog import (
     TIMEOUT_ENV,
     WATCHDOG_ENV,
@@ -89,5 +89,4 @@ __all__ = [
     "seed_sequence",
     "spawn_key",
     "sweep_header",
-    "task_rng",
 ]

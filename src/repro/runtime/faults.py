@@ -73,11 +73,6 @@ def cancel_hangs() -> None:
     _CANCEL.set()
 
 
-def hangs_cancelled() -> bool:
-    """True once :func:`cancel_hangs` has run in this process."""
-    return _CANCEL.is_set()
-
-
 def reset() -> None:
     """Re-arm the fault and clear the cancel event (tests)."""
     _CANCEL.clear()

@@ -50,10 +50,3 @@ def seed_sequence(
         entropy=int(master_seed),
         spawn_key=spawn_key(sweep, cell_index, draw_index),
     )
-
-
-def task_rng(
-    master_seed: int, sweep: str, cell_index: int, draw_index: int
-) -> np.random.Generator:
-    """A fresh generator for one task coordinate (convenience wrapper)."""
-    return np.random.default_rng(seed_sequence(master_seed, sweep, cell_index, draw_index))

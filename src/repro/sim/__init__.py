@@ -13,7 +13,7 @@ from repro.sim.fastsim import (
     draw_band_snrs,
     joint_zf_sinr_db,
 )
-from repro.sim.metrics import cdf_points, median_gain, summarize_throughput
+from repro.sim.metrics import cdf_points, median_gain
 from repro.sim.network import NetworkScenario, ScenarioConfig
 
 __all__ = [
@@ -26,5 +26,4 @@ __all__ = [
     "ScenarioConfig",
     "cdf_points",
     "median_gain",
-    "summarize_throughput",
 ]

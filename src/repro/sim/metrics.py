@@ -1,8 +1,7 @@
-"""Throughput/fairness metrics and CDF helpers used by the experiments."""
+"""CDF, percentile and median-gain helpers used by the experiments."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -20,7 +19,9 @@ def cdf_points(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
 
 def percentile(values: Sequence[float], q: float) -> float:
     """q-th percentile (q in [0, 100])."""
-    return float(np.percentile(np.asarray(values, dtype=float), q))
+    values = np.asarray(values, dtype=float)
+    require(values.size > 0, "empty sample")
+    return float(np.percentile(values, q))
 
 
 def median_gain(megamimo: Sequence[float], baseline: Sequence[float]) -> float:
@@ -28,43 +29,6 @@ def median_gain(megamimo: Sequence[float], baseline: Sequence[float]) -> float:
     megamimo = np.asarray(megamimo, dtype=float)
     baseline = np.asarray(baseline, dtype=float)
     require(megamimo.shape == baseline.shape, "shape mismatch")
+    require(megamimo.size > 0, "empty sample")
     require(bool(np.all(baseline > 0)), "baseline throughput must be positive")
     return float(np.median(megamimo / baseline))
-
-
-@dataclass
-class ThroughputSummary:
-    """Aggregate statistics of one experiment cell.
-
-    Attributes:
-        mean_mbps: Mean total throughput.
-        median_mbps: Median total throughput.
-        p10_mbps / p90_mbps: Spread.
-    """
-
-    mean_mbps: float
-    median_mbps: float
-    p10_mbps: float
-    p90_mbps: float
-
-
-def summarize_throughput(values_bps: Sequence[float]) -> ThroughputSummary:
-    """Summarize a sample of total throughputs (input bits/s, output Mbps)."""
-    mbps = np.asarray(values_bps, dtype=float) / 1e6
-    require(mbps.size > 0, "empty sample")
-    return ThroughputSummary(
-        mean_mbps=float(np.mean(mbps)),
-        median_mbps=float(np.median(mbps)),
-        p10_mbps=float(np.percentile(mbps, 10)),
-        p90_mbps=float(np.percentile(mbps, 90)),
-    )
-
-
-def jain_fairness(values: Sequence[float]) -> float:
-    """Jain's fairness index of per-client allocations (1 = perfectly fair)."""
-    values = np.asarray(values, dtype=float)
-    require(values.size > 0, "empty sample")
-    total = values.sum()
-    if total == 0:
-        return 1.0
-    return float(total**2 / (values.size * np.sum(values**2)))

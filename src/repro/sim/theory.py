@@ -12,9 +12,8 @@ The paper explains its measured gains with a two-line model:
   as SNR grows, which is why high-SNR gains (9.4x) beat low-SNR gains
   (8.1x).
 
-This module implements that model, inverts it (what K do measured gains
-imply?), and provides Shannon-capacity references the simulated rate
-selection can be sanity-checked against.
+This module implements that model and inverts it (what K do measured gains
+imply?).
 """
 
 from __future__ import annotations
@@ -26,12 +25,6 @@ import numpy as np
 
 from repro.utils.units import db_to_linear
 from repro.utils.validation import require
-
-
-def shannon_rate_bps(snr_db: float, bandwidth_hz: float) -> float:
-    """Shannon capacity of a flat AWGN link."""
-    require(bandwidth_hz > 0, "bandwidth must be positive")
-    return float(bandwidth_hz * np.log2(1.0 + db_to_linear(snr_db)))
 
 
 def megamimo_gain_model(n_aps: int, snr_db: float, k_db: float) -> float:
@@ -65,12 +58,6 @@ def implied_k_db(n_aps: int, snr_db: float, measured_gain: float) -> float:
     snr = db_to_linear(snr_db)
     log_k = (1.0 - measured_gain / n_aps) * np.log2(snr)
     return float(10.0 * np.log10(2.0**log_k))
-
-
-def diversity_snr_gain_db(n_aps: int) -> float:
-    """Coherent-combining SNR gain of §8: N^2 (amplitudes add)."""
-    require(n_aps >= 1, "need at least one AP")
-    return float(20.0 * np.log10(n_aps))
 
 
 @dataclass

@@ -1,21 +1,12 @@
 """Shared helpers: dB conversions, RNG plumbing, validation."""
 
 from repro.utils.rng import ensure_rng
-from repro.utils.units import (
-    db_to_linear,
-    dbm_to_watts,
-    linear_to_db,
-    ppm_to_hz,
-    watts_to_dbm,
-    wrap_phase,
-)
+from repro.utils.units import db_to_linear, linear_to_db, ppm_to_hz, wrap_phase
 from repro.utils.validation import require
 
 __all__ = [
     "db_to_linear",
     "linear_to_db",
-    "dbm_to_watts",
-    "watts_to_dbm",
     "wrap_phase",
     "ppm_to_hz",
     "ensure_rng",

@@ -24,18 +24,6 @@ def linear_to_db(linear: npt.ArrayLike) -> np.ndarray:
         return 10.0 * np.log10(values)
 
 
-def dbm_to_watts(dbm: npt.ArrayLike) -> np.ndarray:
-    """Convert power in dBm to watts."""
-    return np.power(10.0, (np.asarray(dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts: npt.ArrayLike) -> np.ndarray:
-    """Convert power in watts to dBm."""
-    values = np.asarray(watts, dtype=float)
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(values) + 30.0
-
-
 def wrap_phase(phase: npt.ArrayLike) -> Union[float, np.ndarray]:
     """Wrap an angle (radians) into (-pi, pi]."""
     values = np.asarray(phase, dtype=float)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.oscillator import Oscillator, OscillatorConfig, random_oscillator
+from repro.channel.oscillator import Oscillator, OscillatorConfig
 
 
 class TestDeterministicPhase:
@@ -60,17 +60,6 @@ class TestPhaseNoise:
         osc = Oscillator()
         with pytest.raises(ValueError):
             osc.phase_at([-1.0])
-
-
-class TestRandomOscillator:
-    def test_ppm_within_bounds(self):
-        for seed in range(20):
-            osc = random_oscillator(rng=seed, max_ppm=2.0)
-            assert abs(osc.ppm_offset) <= 2.0
-
-    def test_80211_worst_case(self):
-        osc = random_oscillator(rng=3, max_ppm=20.0)
-        assert abs(osc.frequency_offset_hz) <= 20e-6 * osc.config.carrier_frequency
 
 
 class TestPaperNumerology:

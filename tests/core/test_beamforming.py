@@ -7,12 +7,12 @@ from repro.channel.models import random_channel_matrix
 from repro.core.beamforming import (
     diversity_precoder,
     effective_channel,
-    interference_to_noise_ratio,
     sinr_after_beamforming,
     snr_reduction_from_misalignment,
     zero_forcing_precoder,
     zero_forcing_precoder_wideband,
 )
+from repro.sim.fastsim import nulling_inr_db
 
 
 @pytest.fixture
@@ -183,19 +183,19 @@ class TestDiversity:
 
 
 class TestNulling:
+    """Fig. 8's metric, (leakage + noise) / noise in dB, on one bin."""
+
     def test_perfect_alignment_no_leakage(self):
         h = random_channel_matrix(3, 3, rng=17)
-        w, _ = zero_forcing_precoder(h)
-        inr = interference_to_noise_ratio(
-            h, w, noise_power=1.0, phase_errors=np.zeros(3), nulled_client=1
+        inr_db = nulling_inr_db(
+            h[None], nulled_client=1, noise_power=1.0, phase_errors=np.zeros(3)
         )
-        assert inr == pytest.approx(0.0, abs=1e-18)
+        assert inr_db == pytest.approx(0.0, abs=1e-12)
 
     def test_misalignment_leaks_into_null(self):
         h = random_channel_matrix(3, 3, rng=18)
-        w, _ = zero_forcing_precoder(h)
-        inr = interference_to_noise_ratio(
-            h, w, noise_power=1e-3, phase_errors=np.array([0.0, 0.05, -0.04]),
-            nulled_client=0,
+        inr_db = nulling_inr_db(
+            h[None], nulled_client=0, noise_power=1e-3,
+            phase_errors=np.array([0.0, 0.05, -0.04]),
         )
-        assert inr > 0.1
+        assert inr_db > 10 * np.log10(1.1)  # leakage above 0.1x the noise

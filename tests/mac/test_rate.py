@@ -8,7 +8,6 @@ from repro.mac.rate import (
     EffectiveSnrRateSelector,
     ber_for_modulation,
     effective_snr_db,
-    select_mcs_for_snr,
     snr_for_ber,
 )
 from repro.phy.mcs import ALL_MCS
@@ -57,15 +56,21 @@ class TestEffectiveSnr:
 
 
 class TestThresholdSelection:
+    """On a flat channel the effective SNR is the SNR itself, so the
+    selector reduces to the MCS threshold table."""
+
+    def select_flat(self, snr_db):
+        return EffectiveSnrRateSelector(10e6).select(np.full(48, snr_db)).mcs
+
     def test_below_all_thresholds(self):
-        assert select_mcs_for_snr(1.0) is None
+        assert self.select_flat(1.0) is None
 
     def test_top_rate_at_high_snr(self):
-        assert select_mcs_for_snr(30.0).index == 7
+        assert self.select_flat(30.0).index == 7
 
     def test_each_threshold_selects_its_mcs(self):
         for mcs in ALL_MCS:
-            got = select_mcs_for_snr(mcs.min_snr_db + 0.01)
+            got = self.select_flat(mcs.min_snr_db + 0.01)
             assert got.index >= mcs.index
 
 

@@ -6,10 +6,8 @@ import pytest
 from repro.constants import FFT_SIZE
 from repro.phy.channel_est import (
     average_channel_estimates,
-    channel_phase,
     channel_rotation,
     estimate_channel_lts,
-    rotate_channel_to_reference,
 )
 from repro.phy.preamble import lts_grid
 
@@ -75,12 +73,6 @@ class TestAveraging:
 
 
 class TestRotation:
-    def test_rotate_to_reference_undoes_cfo(self):
-        h = np.full(FFT_SIZE, 1.0 + 1j)
-        cfo, elapsed = 3e3, 250e-6
-        rotated = h * np.exp(2j * np.pi * cfo * elapsed)
-        assert np.allclose(rotate_channel_to_reference(rotated, cfo, elapsed), h)
-
     def test_channel_rotation_recovers_phasor(self):
         rng = np.random.default_rng(1)
         ref = rng.normal(size=FFT_SIZE) + 1j * rng.normal(size=FFT_SIZE)
@@ -100,9 +92,3 @@ class TestRotation:
 
     def test_degenerate_inputs_give_unity(self):
         assert channel_rotation(np.zeros(4), np.zeros(4)) == 1.0 + 0j
-
-    def test_channel_phase_weighted(self):
-        ch = np.zeros(FFT_SIZE, dtype=complex)
-        ch[1] = 10.0 * np.exp(1j * 0.2)
-        ch[2] = 0.01 * np.exp(-1j * 3.0)
-        assert channel_phase(ch) == pytest.approx(0.2, abs=0.01)

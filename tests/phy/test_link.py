@@ -1,6 +1,5 @@
 """Point-to-point packet transport."""
 
-import numpy as np
 import pytest
 
 from repro.channel.medium import Medium
@@ -61,74 +60,3 @@ class TestRoundtrip:
         payload = bytes(77)
         packet = link.send("tx", payload, 1e-3)
         assert packet.n_samples == link.packet_samples(77)
-
-
-class TestCsiSerialization:
-    def test_roundtrip_exact_shape(self):
-        from repro.core.feedback import deserialize_report, serialize_report
-
-        rng = np.random.default_rng(0)
-        ch = rng.normal(size=(52, 3)) + 1j * rng.normal(size=(52, 3))
-        data = serialize_report(ch, noise_power=0.7, bits=8)
-        recon, noise = deserialize_report(data)
-        assert recon.shape == (52, 3)
-        assert noise == pytest.approx(0.7, rel=1e-6)
-        # 8-bit fixed point: ~2% worst-case error on a unit-scale report
-        assert np.max(np.abs(recon - ch)) < 0.05 * np.max(np.abs(ch))
-
-    def test_16_bit_is_tighter(self):
-        from repro.core.feedback import deserialize_report, serialize_report
-
-        rng = np.random.default_rng(1)
-        ch = rng.normal(size=(52, 2)) + 1j * rng.normal(size=(52, 2))
-        err8 = np.max(np.abs(deserialize_report(serialize_report(ch, 0.1, 8))[0] - ch))
-        err16 = np.max(np.abs(deserialize_report(serialize_report(ch, 0.1, 16))[0] - ch))
-        assert err16 < err8 / 100
-
-    def test_malformed_rejected(self):
-        from repro.core.feedback import deserialize_report
-
-        with pytest.raises(ValueError):
-            deserialize_report(b"notacsireport")
-        with pytest.raises(ValueError):
-            deserialize_report(bytes(5))
-
-    def test_report_size_scales(self):
-        from repro.core.feedback import serialize_report
-
-        rng = np.random.default_rng(2)
-        small = serialize_report(rng.normal(size=(52, 2)) + 0j, 0.1, 8)
-        large = serialize_report(rng.normal(size=(52, 10)) + 0j, 0.1, 8)
-        assert len(large) > 4 * len(small)
-
-
-class TestInBandFeedback:
-    def test_sounding_with_over_the_air_reports(self):
-        from repro import MegaMimoSystem, SystemConfig, get_mcs
-
-        config = SystemConfig(n_aps=2, n_clients=2, seed=4, in_band_feedback=True)
-        system = MegaMimoSystem.create(
-            config, client_snr_db=25.0, channel_model=RicianChannel(k_factor=7.0)
-        )
-        system.run_sounding(0.0)
-        assert system.feedback_failures == 0
-        payloads = [b"A" * 25, b"B" * 25]
-        report = system.joint_transmit(payloads, get_mcs(2), start_time=3e-3)
-        assert [r.decoded.payload for r in report.receptions] == payloads
-
-    def test_quantized_feedback_close_to_ideal(self):
-        from repro import MegaMimoSystem, SystemConfig
-
-        tensors = {}
-        for in_band in (False, True):
-            config = SystemConfig(
-                n_aps=2, n_clients=2, seed=8, in_band_feedback=in_band
-            )
-            system = MegaMimoSystem.create(
-                config, client_snr_db=25.0, channel_model=RicianChannel(k_factor=7.0)
-            )
-            system.run_sounding(0.0)
-            tensors[in_band] = system._channel_tensor
-        scale = np.mean(np.abs(tensors[False]))
-        err = np.mean(np.abs(tensors[True] - tensors[False]))
-        assert err < 0.05 * scale  # 8-bit quantization only

@@ -91,31 +91,6 @@ class TestSoundingPlanInvariants:
 
 
 class TestFeedbackSerializationProperties:
-
-    @given(
-        n_bins=st.integers(1, 64),
-        n_tx=st.integers(1, 12),
-        scale=st.floats(1e-3, 1e3),
-        noise=st.floats(0.0, 1e3),
-        bits=st.sampled_from([8, 16]),
-        seed=st.integers(0, 2**31),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_any_shape(self, n_bins, n_tx, scale, noise, bits, seed):
-        from repro.core.feedback import deserialize_report, serialize_report
-
-        rng = np.random.default_rng(seed)
-        ch = scale * (
-            rng.normal(size=(n_bins, n_tx)) + 1j * rng.normal(size=(n_bins, n_tx))
-        )
-        recon, got_noise = deserialize_report(serialize_report(ch, noise, bits))
-        assert recon.shape == ch.shape
-        assert got_noise == pytest.approx(noise, rel=1e-5, abs=1e-30)
-        levels = (1 << (bits - 1)) - 1
-        max_abs = np.max(np.abs(np.concatenate([ch.real.ravel(), ch.imag.ravel()])))
-        tolerance = 2.5 * max_abs / levels  # one quantization step per axis
-        assert np.max(np.abs(recon - ch)) <= tolerance
-
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
     def test_quantization_idempotent(self, seed):

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.metrics import (
-    cdf_points,
-    jain_fairness,
-    median_gain,
-    percentile,
-    summarize_throughput,
-)
+from repro.sim.metrics import cdf_points, median_gain, percentile
 
 
 class TestCdf:
@@ -35,25 +29,15 @@ class TestGain:
         with pytest.raises(ValueError):
             median_gain([1.0, 2.0], [1.0])
 
-
-class TestSummary:
-    def test_stats(self):
-        s = summarize_throughput(np.arange(1, 101) * 1e6)
-        assert s.mean_mbps == pytest.approx(50.5)
-        assert s.median_mbps == pytest.approx(50.5)
-        assert s.p10_mbps < s.median_mbps < s.p90_mbps
-
-
-class TestFairness:
-    def test_equal_allocation_is_one(self):
-        assert jain_fairness([5.0, 5.0, 5.0]) == pytest.approx(1.0)
-
-    def test_single_hog_is_one_over_n(self):
-        assert jain_fairness([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
-
-    def test_zero_total(self):
-        assert jain_fairness([0.0, 0.0]) == 1.0
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty sample"):
+            median_gain([], [])
 
 
 def test_percentile():
     assert percentile(np.arange(101), 95) == pytest.approx(95.0)
+
+
+def test_percentile_empty_rejected():
+    with pytest.raises(ValueError, match="empty sample"):
+        percentile([], 50)

@@ -3,23 +3,11 @@
 import pytest
 
 from repro.sim.theory import (
-    diversity_snr_gain_db,
     fit_gain_model,
     implied_k_db,
     megamimo_gain_model,
     paper_implied_k_summary,
-    shannon_rate_bps,
 )
-
-
-class TestShannon:
-    def test_known_point(self):
-        # 0 dB over 1 Hz -> 1 bit/s
-        assert shannon_rate_bps(0.0, 1.0) == pytest.approx(1.0)
-
-    def test_monotone_in_snr(self):
-        rates = [shannon_rate_bps(s, 10e6) for s in (0, 10, 20, 30)]
-        assert rates == sorted(rates)
 
 
 class TestGainModel:
@@ -57,12 +45,6 @@ class TestGainModel:
             megamimo_gain_model(0, 20.0, 1.0)
         with pytest.raises(ValueError):
             implied_k_db(4, 20.0, 5.0)  # gain > N
-
-
-class TestDiversityGain:
-    def test_n_squared(self):
-        assert diversity_snr_gain_db(10) == pytest.approx(20.0)
-        assert diversity_snr_gain_db(1) == 0.0
 
 
 class TestFit:

@@ -5,10 +5,8 @@ import pytest
 
 from repro.utils.units import (
     db_to_linear,
-    dbm_to_watts,
     linear_to_db,
     ppm_to_hz,
-    watts_to_dbm,
     wrap_phase,
 )
 
@@ -30,17 +28,6 @@ class TestDbConversions:
     def test_array_input(self):
         out = db_to_linear(np.array([0.0, 10.0, 20.0]))
         assert np.allclose(out, [1.0, 10.0, 100.0])
-
-
-class TestDbm:
-    def test_zero_dbm_is_one_milliwatt(self):
-        assert dbm_to_watts(0.0) == pytest.approx(1e-3)
-
-    def test_thirty_dbm_is_one_watt(self):
-        assert dbm_to_watts(30.0) == pytest.approx(1.0)
-
-    def test_roundtrip(self):
-        assert watts_to_dbm(dbm_to_watts(17.0)) == pytest.approx(17.0)
 
 
 class TestWrapPhase:
