@@ -39,9 +39,8 @@ def zero_forcing_precoder(channel: np.ndarray, max_power_per_antenna: float = 1.
     Raises:
         np.linalg.LinAlgError: If the channel matrix is singular.
     """
-    channel = np.asarray(channel, dtype=complex)
-    require(channel.ndim >= 2, "channel must be a matrix (or a stack of them)")
-    return _zero_forcing(channel, max_power_per_antenna, n_bin_axes=0)
+    inverses, k = _zero_forcing(channel, max_power_per_antenna, n_bin_axes=0)
+    return _scaled(inverses, k), k
 
 
 def zero_forcing_precoder_wideband(
@@ -69,20 +68,28 @@ def zero_forcing_precoder_wideband(
     Raises:
         np.linalg.LinAlgError: If any subcarrier's matrix is singular.
     """
-    channels = np.asarray(channels, dtype=complex)
-    require(channels.ndim >= 3, "need (..., n_bins, n_clients, n_antennas)")
-    return _zero_forcing(channels, max_power_per_antenna, n_bin_axes=1)
+    inverses, k = _zero_forcing(channels, max_power_per_antenna, n_bin_axes=1)
+    return _scaled(inverses, k), k
+
+
+def zero_forcing_gain_wideband(channels: np.ndarray, max_power_per_antenna: float = 1.0):
+    """The ``k`` of :func:`zero_forcing_precoder_wideband` alone, bit for bit,
+    without building the scaled precoders: each stream's SNR is k^2/N0."""
+    return _zero_forcing(channels, max_power_per_antenna, n_bin_axes=1)[1]
 
 
 def _zero_forcing(channels: np.ndarray, max_power_per_antenna: float, n_bin_axes: int):
-    """The ZF body both precoders share: stacked right inverses plus k.
+    """The ZF body every precoder shares: stacked right inverses plus k.
 
     ``channels`` is (..., [n_bins,] n_clients, n_antennas); with
     ``n_bin_axes=1`` the per-antenna power is averaged over the bin axis
-    before the worst antenna sets k.  Stacked ``inv``/``pinv`` results are
-    bit-identical to one call per matrix (the per-bin reference loop in
+    before the worst antenna sets k.  Returns the *unscaled* inverses and
+    k (a float for one matrix or tensor).  Stacked ``inv``/``pinv`` results
+    are bit-identical to one call per matrix (the per-bin reference loop in
     tests/core/test_beamforming.py pins this).
     """
+    channels = np.asarray(channels, dtype=complex)
+    require(channels.ndim >= 2 + n_bin_axes, "need (..., [n_bins,] n_clients, n_antennas)")
     n_clients, n_antennas = channels.shape[-2], channels.shape[-1]
     require(
         n_antennas >= n_clients,
@@ -100,10 +107,12 @@ def _zero_forcing(channels: np.ndarray, max_power_per_antenna: float, n_bin_axes
     worst = np.max(per_antenna, axis=-1)
     require(bool(np.all(worst > 0)), "degenerate channel")
     k = np.sqrt(max_power_per_antenna / worst)
-    if k.ndim == 0:
-        k = float(k)
-        return k * inverses, k
-    return k.reshape(k.shape + (1,) * (2 + n_bin_axes)) * inverses, k
+    return inverses, float(k) if k.ndim == 0 else k
+
+
+def _scaled(inverses: np.ndarray, k):
+    """The precoders ``k * inverses``, k broadcast over each stack entry."""
+    return np.reshape(k, np.shape(k) + (1,) * (inverses.ndim - np.ndim(k))) * inverses
 
 
 def _check_right_inverse(channel: np.ndarray, inverse: np.ndarray) -> None:

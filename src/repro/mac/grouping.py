@@ -27,7 +27,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.beamforming import zero_forcing_precoder_wideband
+from repro.core.beamforming import zero_forcing_gain_wideband
 from repro.mac.queue import Packet
 from repro.mac.rate import EffectiveSnrRateSelector
 from repro.utils.units import linear_to_db
@@ -88,7 +88,7 @@ class ThroughputAwareGrouping:
             return 0.0
         sub = self.channels[:, clients, :]
         try:
-            _, k = zero_forcing_precoder_wideband(sub)
+            k = zero_forcing_gain_wideband(sub)
         except np.linalg.LinAlgError:
             return 0.0
         snr_db = float(linear_to_db(k**2 / self.noise_power))

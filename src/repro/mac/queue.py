@@ -48,20 +48,22 @@ class DownlinkQueue:
     entry, so its cost is O(n_clients) at any backlog depth.
 
     Args:
-        client_ap_snr_db: (n_clients, n_aps) SNR map used to designate APs.
+        client_ap_snr_db: (n_clients, n_aps) SNR map used to designate APs,
+            once per client at construction; the queue keeps its own copy.
     """
 
     def __init__(self, client_ap_snr_db: np.ndarray):
-        snr = np.asarray(client_ap_snr_db, dtype=float)
+        snr = np.array(client_ap_snr_db, dtype=float)
         require(snr.ndim == 2, "need an (n_clients, n_aps) SNR map")
         self.client_ap_snr_db = snr
         self.n_clients, self.n_aps = snr.shape
+        self._designated: List[int] = np.argmax(snr, axis=1).tolist()
         self._fifos: List[Deque[Tuple[int, Packet]]] = [deque() for _ in snr]
         self._tickets = itertools.count()
 
     def designated_ap(self, client: int) -> int:
         """AP with the strongest SNR to ``client``."""
-        return int(np.argmax(self.client_ap_snr_db[client]))
+        return self._designated[client]
 
     def enqueue(self, client: int, size_bytes: int = 1500) -> Packet:
         """Add one packet for ``client``; designation happens here."""

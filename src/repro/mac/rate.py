@@ -29,6 +29,10 @@ from repro.utils.units import db_to_linear, linear_to_db
 from repro.utils.validation import require
 
 
+#: Bits per subcarrier of each modulation in ``ALL_MCS`` (one effective SNR each).
+_MODULATION_BITS = sorted({mcs.bits_per_subcarrier for mcs in ALL_MCS})
+
+
 def _qfunc(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
@@ -107,18 +111,16 @@ class EffectiveSnrRateSelector:
     def select(self, subcarrier_snr_db) -> RateDecision:
         """Choose the fastest sustainable MCS for these per-subcarrier SNRs."""
         subcarrier_snr_db = np.atleast_1d(np.asarray(subcarrier_snr_db, dtype=float))
+        eff = {b: effective_snr_db(subcarrier_snr_db, b) for b in _MODULATION_BITS}
         best: Optional[Mcs] = None
-        best_eff = effective_snr_db(subcarrier_snr_db, 1)
         for mcs in ALL_MCS:
-            eff = effective_snr_db(subcarrier_snr_db, mcs.bits_per_subcarrier)
-            if eff >= mcs.min_snr_db:
+            if eff[mcs.bits_per_subcarrier] >= mcs.min_snr_db:
                 best = mcs
-                best_eff = eff
         if best is None:
-            return RateDecision(mcs=None, effective_snr_db=best_eff, bitrate=0.0)
+            return RateDecision(mcs=None, effective_snr_db=eff[1], bitrate=0.0)
         return RateDecision(
             mcs=best,
-            effective_snr_db=best_eff,
+            effective_snr_db=eff[best.bits_per_subcarrier],
             bitrate=best.bitrate(self.sample_rate),
         )
 
@@ -133,18 +135,18 @@ class EffectiveSnrRateSelector:
         shape (...,).  The MCS walk mirrors :meth:`select` — every MCS is
         evaluated in ``ALL_MCS`` order and the last qualifying one wins —
         with the per-row effective-SNR lookup replaced by one elementwise
-        pass per MCS, so each row's decision is bit-identical to the scalar
-        selector's.
+        pass per modulation, so each row's decision is bit-identical to the
+        scalar selector's.
         """
         rows = np.asarray(subcarrier_snr_db, dtype=float)
         require(rows.ndim >= 1, "need at least one subcarrier axis")
         snrs = db_to_linear(rows)
+        eff = {
+            b: linear_to_db(snr_for_ber(np.mean(ber_for_modulation(snrs, b), axis=-1), b))
+            for b in _MODULATION_BITS
+        }
         bitrate = np.zeros(rows.shape[:-1])
         for mcs in ALL_MCS:
-            bers = ber_for_modulation(snrs, mcs.bits_per_subcarrier)
-            mean_ber = np.mean(bers, axis=-1)
-            eff = linear_to_db(snr_for_ber(mean_ber, mcs.bits_per_subcarrier))
-            bitrate = np.where(
-                eff >= mcs.min_snr_db, mcs.bitrate(self.sample_rate), bitrate
-            )
+            ok = eff[mcs.bits_per_subcarrier] >= mcs.min_snr_db
+            bitrate = np.where(ok, mcs.bitrate(self.sample_rate), bitrate)
         return bitrate * self.mac_efficiency

@@ -36,6 +36,7 @@ from repro.constants import (
 )
 from repro.core.beamforming import (
     snr_reduction_grid,
+    zero_forcing_gain_wideband,
     zero_forcing_precoder_wideband,
 )
 from repro.core.sounding import REFERENCE_OFFSET
@@ -46,6 +47,7 @@ from repro.phy.channel_est import estimate_channel_lts
 from repro.phy.preamble import long_training_sequence, sync_header, sync_header_length
 from repro.runtime import CellSpec, run_sweep
 from repro.sim.fastsim import (
+    N_BINS,
     SyncErrorModel,
     build_channel_tensor,
     diversity_snr_db,
@@ -325,7 +327,8 @@ class Fig8Result:
 
 
 def fig8_kernel(params, seeds):
-    """Fig. 8 trials: each topology's per-packet nulling INR samples (dB)."""
+    """Fig. 8 trials: each topology's per-packet nulling INR samples (dB);
+    the precoders of its sounded estimate are solved once for all packets."""
     n = params["n"]
     error_model = params["error_model"]
     out = []
@@ -334,12 +337,13 @@ def fig8_kernel(params, seeds):
         snrs = draw_band_snrs(params["band"], n, n, rng)
         channels = build_channel_tensor(snrs, rng)
         est = error_model.corrupt_estimate(channels, snrs, rng)
+        precoders, _ = zero_forcing_precoder_wideband(est)
         samples = []
         for _ in range(params["n_packets"]):
             errors = error_model.phase_errors(n, rng)
             nulled = int(rng.integers(0, n))
             samples.append(
-                float(nulling_inr_db(channels, nulled, phase_errors=errors, est_channels=est))
+                nulling_inr_db(channels, nulled, phase_errors=errors, precoders=precoders)
             )
         out.append(samples)
     return out
@@ -411,7 +415,7 @@ def zf_penalty_db(channels: np.ndarray):
     channels and returns a (...,)-shaped penalty (a scalar for one tensor).
     """
     channels = np.asarray(channels, dtype=complex)
-    _, k = zero_forcing_precoder_wideband(channels)
+    k = zero_forcing_gain_wideband(channels)
     link_gain = np.mean(np.abs(channels) ** 2, axis=-3)  # (..., n_rx, n_tx)
     best = np.mean(np.max(link_gain, axis=-1), axis=-1)
     return linear_to_db(best) - linear_to_db(k**2)
@@ -558,7 +562,7 @@ def fig9_kernel(params, seeds):
     channels = draw_screened_channels(n, rngs, params["max_penalty_db"])
 
     # scale each trial so the effective (post-ZF) SNR hits its band target
-    _, k = zero_forcing_precoder_wideband(channels)
+    k = zero_forcing_gain_wideband(channels)
     targets = np.array([float(rng.uniform(band[0], band[1])) for rng in rngs])
     scale = np.sqrt(db_to_linear(targets) / k**2)
     channels = channels * scale[:, None, None, None]
@@ -760,30 +764,26 @@ def fig11_kernel(params, seeds):
     """Fig. 11 trials: each fading draw's per-SNR throughput (bps).
 
     ``n_aps == 1`` is the 802.11 single-transmitter baseline; otherwise all
-    APs beamform the same stream coherently (§8).
+    APs beamform the same stream coherently (§8).  The chunk's per-SNR rows
+    take one rate walk (:meth:`EffectiveSnrRateSelector.goodput_batch`).
     """
     n = params["n_aps"]
     error_model = params["error_model"]
-    selector = EffectiveSnrRateSelector(
-        params["sample_rate"], mac_efficiency=MAC_EFFICIENCY
-    )
-    out = []
+    selector = EffectiveSnrRateSelector(params["sample_rate"], mac_efficiency=MAC_EFFICIENCY)
+    rows = []
     for seed in seeds:
         rng = ensure_rng(seed)
-        rates = []
         for s in params["snr_db"]:
             if n == 1:
-                snrs = np.full((1, 1), s)
-                channels = build_channel_tensor(snrs, rng)
-                rates.append(float(selector.goodput(unicast_snr_db(channels, 0, 0))))
+                channels = build_channel_tensor(np.full((1, 1), s), rng)
+                rows.append(unicast_snr_db(channels, 0, 0))
             else:
                 snrs = np.full((1, n), s) + rng.normal(0, 1.0, (1, n))
                 channels = build_channel_tensor(snrs, rng)  # (bins, 1, n)
                 errors = error_model.phase_errors(n, rng)
-                div = diversity_snr_db(channels[:, 0, :], phase_errors=errors)
-                rates.append(float(selector.goodput(div)))
-        out.append(rates)
-    return out
+                rows.append(diversity_snr_db(channels[:, 0, :], phase_errors=errors))
+    rows = np.reshape(rows, (len(seeds), len(params["snr_db"]), N_BINS))
+    return selector.goodput_batch(rows).tolist()
 
 
 def run_fig11(
@@ -948,7 +948,7 @@ def run_fig12(
             channels = draw_screened_80211n_channels(
                 rng, device_of, client_of, max_penalty_db
             )
-            _, k = zero_forcing_precoder_wideband(channels)
+            k = zero_forcing_gain_wideband(channels)
             target_db = float(rng.uniform(band[0], band[1]))
             channels = channels * np.sqrt(db_to_linear(target_db) / k**2)
             link_snrs_db = linear_to_db(np.mean(np.abs(channels) ** 2, axis=0))
@@ -1081,10 +1081,7 @@ def run_fig12_sample_level(
     CRC-verified deliveries.
     """
     require(n_topologies >= 1, "n_topologies must be >= 1")
-    from repro.channel.models import RicianChannel
-    from repro.core.beamforming import zero_forcing_precoder_wideband
     from repro.core.compat_sampling import SampleLevelCompatSounder
-    from repro.mac.rate import EffectiveSnrRateSelector
     from repro.phy.preamble import lts_grid
 
     rng = ensure_rng(seed)
@@ -1115,7 +1112,7 @@ def run_fig12_sample_level(
             if occupied is None:
                 occupied = np.nonzero(np.abs(lts_grid()) > 0)[0]
             cand_tensor = candidate._channel_tensor[occupied]
-            _, k_cand = zero_forcing_precoder_wideband(cand_tensor)
+            k_cand = zero_forcing_gain_wideband(cand_tensor)
             if float(linear_to_db(k_cand**2)) >= 19.0:
                 system, tensor = candidate, cand_tensor
                 break
@@ -1132,7 +1129,7 @@ def run_fig12_sample_level(
         # adaptation + retransmission).
         from repro.phy.mcs import get_mcs as _get_mcs
 
-        _, k = zero_forcing_precoder_wideband(tensor)
+        k = zero_forcing_gain_wideband(tensor)
         decision = selector.select(
             min(float(linear_to_db(k**2)) - rate_backoff_db, 19.0)
         )
@@ -1169,7 +1166,7 @@ def run_fig12_sample_level(
             best = int(np.argmax(ap_scores))
             cols = [i for i, d in enumerate(system.antenna_device) if d == best]
             sub = tensor[np.ix_(range(52), rows, cols)]
-            _, k_sub = zero_forcing_precoder_wideband(sub)
+            k_sub = zero_forcing_gain_wideband(sub)
             sub_decision = selector.select(
                 min(float(linear_to_db(k_sub**2)) - rate_backoff_db, 19.0)
             )

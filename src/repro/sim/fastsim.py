@@ -264,41 +264,29 @@ def nulling_inr_db(
     nulled_client: int,
     noise_power: float = 1.0,
     phase_errors: Optional[np.ndarray] = None,
-    est_channels: Optional[np.ndarray] = None,
-) -> float:
+    precoders: Optional[np.ndarray] = None,
+):
     """Fig. 8 metric: (leakage + noise) / noise, in dB, at a nulled client.
 
-    Accepts a (..., n_bins, n_rx, n_tx) batch and then returns a
-    (...,)-shaped array; the batched path accumulates leakage bin-by-bin in
-    the same order as the scalar reference, so agreement is exact up to the
-    vector-matrix product (gemv vs. batched gemm — pinned at tight
-    tolerance by the property tests).
+    The leakage is the nulled client's power from the other clients'
+    streams, averaged over subcarriers.  ``precoders`` are the
+    (..., n_bins, n_tx, n_rx) precoders in use, e.g. the ZF precoders of a
+    sounded estimate solved once for every packet; None means the ZF
+    precoders of ``channels`` (perfect CSI).  One broadcast-matmul pass maps
+    a (..., n_bins, n_rx, n_tx) batch to a (...,) array, one tensor to a float.
     """
     channels = np.asarray(channels, dtype=complex)
-    est = channels if est_channels is None else np.asarray(est_channels, dtype=complex)
-    n_bins, n_rx, n_tx = channels.shape[-3], channels.shape[-2], channels.shape[-1]
-    rotation = (
-        np.exp(1j * np.asarray(phase_errors, dtype=float))
-        if phase_errors is not None
-        else np.ones(n_tx)
-    )
-    precoders, _ = zero_forcing_precoder_wideband(est)
-    others = np.ones(n_rx, dtype=bool)
-    others[nulled_client] = False
-    if channels.ndim == 3:
-        leak = 0.0
-        for b in range(n_bins):
-            row = (channels[b][nulled_client] * rotation) @ precoders[b]
-            leak += float(np.sum(np.abs(row[others]) ** 2))
-        leak /= n_bins
-        return float(linear_to_db((leak + noise_power) / noise_power))
+    if precoders is None:
+        precoders, _ = zero_forcing_precoder_wideband(channels)
+    phases = np.zeros(channels.shape[-1]) if phase_errors is None else phase_errors
+    rotation = np.exp(1j * np.asarray(phases, dtype=float))
     rotated = channels[..., :, nulled_client, :] * rotation[..., None, :]
     rows = (rotated[..., :, None, :] @ precoders)[..., 0, :]  # (..., B, R)
-    leak = np.zeros(channels.shape[:-3])
-    for b in range(n_bins):
-        leak = leak + np.sum(np.abs(rows[..., b, others]) ** 2, axis=-1)
-    leak = leak / n_bins
-    return linear_to_db((leak + noise_power) / noise_power)
+    others = np.ones(channels.shape[-2], dtype=bool)
+    others[nulled_client] = False
+    leak = np.mean(np.sum(np.abs(rows[..., others]) ** 2, axis=-1), axis=-1)
+    inr = linear_to_db((leak + noise_power) / noise_power)
+    return float(inr) if channels.ndim == 3 else inr
 
 
 def diversity_snr_db(

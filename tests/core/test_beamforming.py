@@ -9,6 +9,7 @@ from repro.core.beamforming import (
     effective_channel,
     sinr_after_beamforming,
     snr_reduction_from_misalignment,
+    zero_forcing_gain_wideband,
     zero_forcing_precoder,
     zero_forcing_precoder_wideband,
 )
@@ -99,6 +100,16 @@ class TestWidebandZeroForcing:
             precoders, k = zero_forcing_precoder_wideband(channels)
             assert k == k_ref
             np.testing.assert_array_equal(precoders, k_ref * inverses)
+
+    def test_gain_alone_matches_precoder_k_bitwise(self):
+        rng = np.random.default_rng(30)
+        stack = (rng.standard_normal((5, 12, 4, 6))
+                 + 1j * rng.standard_normal((5, 12, 4, 6)))
+        _, k = zero_forcing_precoder_wideband(stack)
+        np.testing.assert_array_equal(zero_forcing_gain_wideband(stack), k)
+        k0 = zero_forcing_gain_wideband(stack[0])
+        assert isinstance(k0, float)
+        assert k0 == zero_forcing_precoder_wideband(stack[0])[1]
 
     def test_wideband_k_at_least_worst_bin(self):
         """Averaging the constraint across bins can only help vs. the worst

@@ -23,6 +23,13 @@ class TestDesignation:
         p = q.enqueue(client=2)
         assert p.designated_ap == 0
 
+    def test_designation_fixed_at_construction(self, snr_map):
+        q = DownlinkQueue(snr_map)
+        snr_map[0] = [30.0, 0.0]  # the caller's map changes afterwards
+        assert q.designated_ap(0) == 1
+        assert int(np.argmax(q.client_ap_snr_db[0])) == 1  # the queue's copy
+        assert q.enqueue(client=0).designated_ap == 1
+
     def test_unknown_client_rejected(self, snr_map):
         q = DownlinkQueue(snr_map)
         with pytest.raises(ValueError):

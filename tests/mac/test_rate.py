@@ -109,3 +109,18 @@ class TestSelector:
     def test_invalid_sample_rate(self):
         with pytest.raises(ValueError):
             EffectiveSnrRateSelector(0.0)
+
+    def test_matches_per_mcs_walk_bitwise(self):
+        """One effective SNR per modulation decides exactly as the walk that
+        recomputes it for every MCS."""
+        sel = EffectiveSnrRateSelector(10e6)
+        rng = np.random.default_rng(40)
+        for row in rng.uniform(-10.0, 40.0, (200, 52)):
+            best, best_eff = None, effective_snr_db(row, 1)
+            for mcs in ALL_MCS:
+                eff = effective_snr_db(row, mcs.bits_per_subcarrier)
+                if eff >= mcs.min_snr_db:
+                    best, best_eff = mcs, eff
+            decision = sel.select(row)
+            assert decision.mcs is best
+            assert decision.effective_snr_db == best_eff

@@ -5,8 +5,10 @@ Batch-first sweep kernels rest on four families of invariants:
 * **batch-of-1 equivalence** — feeding a physics function a stack of
   trials yields, per trial slice, exactly what the unbatched (3-D) call
   produces.  Everything except :func:`nulling_inr_db` is bitwise; nulling
-  keeps a per-subcarrier gemv loop for 3-D input beside a batched gemm
-  and is pinned at tight tolerance instead;
+  runs one broadcast-matmul body for both, but numpy does not promise
+  that its vectorized ``abs`` rounds a long stacked array exactly as a
+  short one, so it is pinned at tight tolerance instead (its
+  per-subcarrier reference loop is in ``tests/sim/test_fig8_fig11_oracles.py``);
 * **shape/dtype invariants** — batch axes pass through untouched and
   outputs are real float arrays whatever the topology dimensions;
 * **permutation invariance** — trials own independent seed streams, so
