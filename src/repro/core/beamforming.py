@@ -87,6 +87,10 @@ def _zero_forcing(channels: np.ndarray, max_power_per_antenna: float, n_bin_axes
     k (a float for one matrix or tensor).  Stacked ``inv``/``pinv`` results
     are bit-identical to one call per matrix (the per-bin reference loop in
     tests/core/test_beamforming.py pins this).
+
+    A stack whose bins all hold bin 0's matrix bit for bit (single-tap
+    fading is flat across subcarriers) is solved on bin 0 alone: LAPACK
+    returns the same bits for the same matrix, so the result is unchanged.
     """
     channels = np.asarray(channels, dtype=complex)
     require(channels.ndim >= 2 + n_bin_axes, "need (..., [n_bins,] n_clients, n_antennas)")
@@ -95,19 +99,48 @@ def _zero_forcing(channels: np.ndarray, max_power_per_antenna: float, n_bin_axes
         n_antennas >= n_clients,
         f"need at least as many antennas ({n_antennas}) as clients ({n_clients})",
     )
-    if n_antennas == n_clients:
-        inverses = np.linalg.inv(channels)
+    if n_bin_axes and _flat_across_bins(channels):
+        first = _right_inverses(channels[..., :1, :, :])
+        # both copied out C-contiguous, not left stride-0 views: the bin
+        # mean below then reduces in the same order as after a full solve
+        shape = channels.shape[:-2] + (n_antennas,)
+        inverses = np.ascontiguousarray(np.broadcast_to(first, shape + (n_clients,)))
+        per_antenna = np.ascontiguousarray(np.broadcast_to(_row_power(first), shape))
     else:
-        inverses = np.linalg.pinv(channels)
-        _check_right_inverse(channels, inverses)
-    # per-antenna transmit power for unit-power streams: row norms squared
-    per_antenna = np.sum(np.abs(inverses) ** 2, axis=-1)
+        inverses = _right_inverses(channels)
+        per_antenna = _row_power(inverses)
     if n_bin_axes:
         per_antenna = np.mean(per_antenna, axis=-2)
     worst = np.max(per_antenna, axis=-1)
     require(bool(np.all(worst > 0)), "degenerate channel")
     k = np.sqrt(max_power_per_antenna / worst)
     return inverses, float(k) if k.ndim == 0 else k
+
+
+def _flat_across_bins(channels: np.ndarray) -> bool:
+    """Whether every bin of a (..., n_bins, n, m) stack is bin 0's matrix,
+    compared bit for bit.  Bin 1 goes first, so a frequency-selective stack
+    is turned away after one bin's comparison."""
+    if channels.shape[-3] < 2:
+        return False
+    bits = [part.view(np.int64) for part in (channels.real, channels.imag)]
+    return all(
+        np.array_equal(b[..., 1:2, :, :], b[..., :1, :, :]) for b in bits
+    ) and all(np.all(b[..., 2:, :, :] == b[..., :1, :, :]) for b in bits)
+
+
+def _row_power(inverses: np.ndarray) -> np.ndarray:
+    """Per-antenna transmit power for unit-power streams: row norms squared."""
+    return np.sum(np.abs(inverses) ** 2, axis=-1)
+
+
+def _right_inverses(channels: np.ndarray) -> np.ndarray:
+    """Stacked ``inv`` of square matrices, or checked ``pinv`` of wide ones."""
+    if channels.shape[-1] == channels.shape[-2]:
+        return np.linalg.inv(channels)
+    inverses = np.linalg.pinv(channels)
+    _check_right_inverse(channels, inverses)
+    return inverses
 
 
 def _scaled(inverses: np.ndarray, k):

@@ -152,6 +152,10 @@ def _fig8_render(r: Any) -> str:
     return "\n".join([r.format_table(), *slopes])
 
 
+def _fig9_render(r: Any) -> str:
+    return f"{r.format_table()}\n{r.format_screen_table()}"
+
+
 def _fig11_render(r: Any) -> str:
     return f"{r.format_table()}\n0 dB client with 10 APs: {_at_0db(r, 10):.1f} Mbps"
 
@@ -201,7 +205,7 @@ _TABLE = (
     ),
     Claim(
         key="fig9", title="Figures 9 & 10 — throughput scaling and fairness",
-        runner=E.run_fig9, report={"n_topologies": 20},
+        runner=E.run_fig9, report={"n_topologies": 20}, render=_fig9_render,
         paper="gains 9.4x / 9.1x / 8.1x at 10 APs; baselines 23.6 / 14.9 / 7.75 Mbps",
         checks=(
             _check("linear_scaling",

@@ -52,9 +52,11 @@ from repro.sim.fastsim import (
     build_channel_tensor,
     diversity_snr_db,
     draw_band_snrs,
+    draw_link_taps,
     joint_zf_sinr_db,
     mmse_stream_sinr_db,
     nulling_inr_db,
+    taps_to_channel_tensor,
     unicast_snr_db,
 )
 from repro.sim.metrics import cdf_points, median_gain, percentile
@@ -421,9 +423,25 @@ def zf_penalty_db(channels: np.ndarray):
     return linear_to_db(best) - linear_to_db(k**2)
 
 
+@dataclass
+class ScreenStats:
+    """What the placement screen did, one entry per trial.
+
+    Attributes:
+        draws: Candidates drawn (1 .. ``max_attempts``).
+        exhausted: The trial drew ``max_attempts`` candidates without one
+            passing and kept the least penalized.
+        penalty_db: The kept candidate's ZF penalty (:func:`zf_penalty_db`).
+    """
+
+    draws: np.ndarray
+    exhausted: np.ndarray
+    penalty_db: np.ndarray
+
+
 def draw_screened_channels(
     n: int, rngs, max_penalty_db: Optional[float], max_attempts: int = 100
-) -> np.ndarray:
+) -> Tuple[np.ndarray, ScreenStats]:
     """Draw one n x n channel shape per generator in ``rngs``, mirroring the
     paper's placement screen.
 
@@ -435,33 +453,45 @@ def draw_screened_channels(
 
     The screen runs in rounds: each round draws one candidate *per
     still-unscreened trial* from that trial's own generator, so every
-    generator consumes the same draws whatever the batch, and scores all
-    candidates in one stacked ZF pass.  A trial that exhausts
-    ``max_attempts`` keeps its least-penalized candidate.  Pass
-    ``max_penalty_db=None`` to disable screening (ablation).
+    generator consumes the same draws whatever the batch, and turns the
+    round's taps into channels with one stacked FFT and scores them with
+    one stacked ZF pass.  The channels are single-tap Rician K = 7
+    (:func:`draw_link_taps`), so each candidate is flat across its bins.
+
+    A trial that exhausts ``max_attempts`` keeps its least-penalized
+    candidate: past that point the screen is "best of ``max_attempts`` =
+    100", not a penalty cap.  At ``max_penalty_db=2`` that happens to 2 of
+    40 trials at N = 6, 8/40 at N = 8 and 21/40 at N = 10 (seeds
+    1000-1039).  Pass ``max_penalty_db=None`` to disable screening
+    (ablation): every trial keeps its first draw.
 
     Returns:
-        (len(rngs), n_bins, n, n) channel shapes.
+        ((len(rngs), n_bins, n, n) channel shapes, their :class:`ScreenStats`).
     """
+    n_trials = len(rngs)
     # each trial's least-penalized candidate so far; a passing candidate
     # always beats the failed ones before it
-    best: List[Optional[np.ndarray]] = [None] * len(rngs)
-    best_penalty = np.full(len(rngs), np.inf)
-    active = list(range(len(rngs)))
+    best: List[Optional[np.ndarray]] = [None] * n_trials
+    best_penalty = np.full(n_trials, np.inf)
+    draws = np.zeros(n_trials, dtype=int)
+    active = list(range(n_trials))
     for _attempt in range(max_attempts):
         if not active:
             break
-        cand = np.stack(
+        taps = np.stack(
             [
-                build_channel_tensor(
-                    draw_band_snrs((19.0, 21.0), n, n, rngs[t]), rngs[t]
-                )
+                draw_link_taps(draw_band_snrs((19.0, 21.0), n, n, rngs[t]), rngs[t])
                 for t in active
             ]
-        )  # (n_active, n_bins, n, n)
-        if max_penalty_db is None:
-            return cand
+        )  # (n_active, n, n, n_taps)
+        # a compact copy that keeps the FFT's bins-innermost memory order,
+        # as stacking one tensor per candidate did: the bin means below
+        # then reduce in the same order
+        cand = taps_to_channel_tensor(taps).copy(order="K")
+        draws[active] += 1
         penalty = zf_penalty_db(cand)
+        if max_penalty_db is None:
+            return cand, ScreenStats(draws, np.zeros(n_trials, dtype=bool), penalty)
         still_active = []
         for i, t in enumerate(active):
             if penalty[i] < best_penalty[t]:
@@ -469,7 +499,9 @@ def draw_screened_channels(
             if not penalty[i] <= max_penalty_db:
                 still_active.append(t)
         active = still_active
-    return np.stack(best)
+    exhausted = np.zeros(n_trials, dtype=bool)
+    exhausted[active] = True
+    return np.stack(best), ScreenStats(draws, exhausted, best_penalty)
 
 
 @dataclass
@@ -480,11 +512,13 @@ class ScalingCell:
         megamimo_bps: Total MegaMIMO throughput per topology.
         baseline_bps: Total 802.11 throughput per topology.
         per_client_gains: Flattened per-client gain samples (for Fig. 10).
+        screen: The placement screen's record of each topology.
     """
 
     megamimo_bps: np.ndarray
     baseline_bps: np.ndarray
     per_client_gains: np.ndarray
+    screen: ScreenStats
 
 
 @dataclass
@@ -527,6 +561,32 @@ class Fig9Result:
                 )
         return out
 
+    def screen_stats(self, n: int) -> ScreenStats:
+        """The placement screen's record at N = ``n``, pooled over the bands
+        (the screen draws its candidates the same way in every band)."""
+        cells = [self.cells[(band, n)].screen for band in BAND_ORDER
+                 if (band, n) in self.cells]
+        return ScreenStats(
+            draws=np.concatenate([c.draws for c in cells]),
+            exhausted=np.concatenate([c.exhausted for c in cells]),
+            penalty_db=np.concatenate([c.penalty_db for c in cells]),
+        )
+
+    def format_screen_table(self) -> str:
+        lines = [
+            "[placement screen, pooled over bands]",
+            "n_aps  median draws  exhausted  kept penalty p25/p50/p75 (dB)",
+        ]
+        for n in self.n_aps:
+            stats = self.screen_stats(int(n))
+            p25, p50, p75 = np.percentile(stats.penalty_db, [25, 50, 75])
+            lines.append(
+                f"{n:5d}  {np.median(stats.draws):12.1f}  "
+                f"{np.mean(stats.exhausted):9.0%}  "
+                f"{p25:5.2f} / {p50:5.2f} / {p75:5.2f}"
+            )
+        return "\n".join(lines)
+
     def format_table(self) -> str:
         lines = []
         for band in BAND_ORDER:
@@ -543,9 +603,11 @@ class Fig9Result:
 def fig9_kernel(params, seeds):
     """Fig. 9 trials: each screened topology's MegaMIMO and 802.11 totals.
 
-    Returns ``{"megamimo_bps", "baseline_bps", "gains"}`` per seed; the
-    runner aggregates trial lists into :class:`ScalingCell`s.  Every draw
-    (placement screen, band target, estimation noise, phase errors) comes
+    Returns ``{"megamimo_bps", "baseline_bps", "gains"}`` per seed, plus
+    the trial's placement-screen record (``screen_draws``,
+    ``screen_exhausted``, ``screen_penalty_db``; see :class:`ScreenStats`);
+    the runner aggregates trial lists into :class:`ScalingCell`s.  Every
+    draw (placement screen, band target, estimation noise, phase errors) comes
     from the trial's own generator; the screen's penalties, the SINR
     evaluation and the effective-SNR rate walk
     (:meth:`EffectiveSnrRateSelector.goodput_batch`) run once over the
@@ -559,7 +621,7 @@ def fig9_kernel(params, seeds):
     )
     rngs = [ensure_rng(seed) for seed in seeds]
     n_trials = len(rngs)
-    channels = draw_screened_channels(n, rngs, params["max_penalty_db"])
+    channels, screen = draw_screened_channels(n, rngs, params["max_penalty_db"])
 
     # scale each trial so the effective (post-ZF) SNR hits its band target
     k = zero_forcing_gain_wideband(channels)
@@ -579,14 +641,10 @@ def fig9_kernel(params, seeds):
     sinr_db = joint_zf_sinr_db(channels, phase_errors=errors, est_channels=est)
     stream_rates = selector.goodput_batch(sinr_db)  # (n_trials, n)
     best_ap = np.argmax(link_snrs_db, axis=-1)  # (n_trials, n)
-    uni = np.stack(
-        [
-            np.stack(
-                [unicast_snr_db(channels[t], c, int(best_ap[t, c])) for c in range(n)]
-            )
-            for t in range(n_trials)
-        ]
-    )  # (n_trials, n, n_bins)
+    # each client's link from its best AP, gathered C-contiguous as
+    # (n_trials, n, n_bins) so goodput_batch reduces in the same order
+    best_links = channels[np.arange(n_trials)[:, None], :, np.arange(n), best_ap]
+    uni = linear_to_db(np.abs(best_links) ** 2)
     unicast_rates = selector.goodput_batch(uni)
 
     out = []
@@ -603,6 +661,9 @@ def fig9_kernel(params, seeds):
                 "megamimo_bps": float(np.sum(stream_rates[t])),
                 "baseline_bps": float(np.mean(unicast_rates[t])),
                 "gains": g[np.isfinite(g)].tolist(),
+                "screen_draws": int(screen.draws[t]),
+                "screen_exhausted": bool(screen.exhausted[t]),
+                "screen_penalty_db": float(screen.penalty_db[t]),
             }
         )
     return out
@@ -670,6 +731,11 @@ def run_fig9(
                 baseline_bps=np.asarray([t["baseline_bps"] for t in trials]),
                 per_client_gains=np.asarray(
                     [g for t in trials for g in t["gains"]]
+                ),
+                screen=ScreenStats(
+                    draws=np.asarray([t["screen_draws"] for t in trials]),
+                    exhausted=np.asarray([t["screen_exhausted"] for t in trials]),
+                    penalty_db=np.asarray([t["screen_penalty_db"] for t in trials]),
                 ),
             )
     return Fig9Result(n_aps=n_aps, cells=cells)

@@ -188,13 +188,30 @@ def build_channel_tensor(
     Args:
         snr_db: (..., n_rx, n_tx) average link SNRs (leading batch axes
             allowed — e.g. a trial axis — sharing one RNG stream).
+        model: Fading model (see :func:`draw_link_taps`).
+
+    Returns:
+        (..., n_bins, n_rx, n_tx) complex channels with E|H|^2 = SNR * noise:
+        :func:`taps_to_channel_tensor` of :func:`draw_link_taps`.
+    """
+    return taps_to_channel_tensor(draw_link_taps(snr_db, rng, model, noise_power), n_bins)
+
+
+def draw_link_taps(
+    snr_db: np.ndarray, rng, model: ChannelModel = None, noise_power: float = 1.0
+) -> np.ndarray:
+    """Impulse responses of an (..., n_rx, n_tx) SNR map's links.
+
+    Args:
+        snr_db: (..., n_rx, n_tx) average link SNRs.
         model: Fading model.  Default is Rician K=7 — conference-room links
             (ceiling APs, line of sight) have a strong specular component,
             which is also what keeps the paper's channel matrices "random
-            and well conditioned" (§11.2).
+            and well conditioned" (§11.2).  Its single tap makes every
+            link flat across subcarriers.
 
     Returns:
-        (..., n_bins, n_rx, n_tx) complex channels with E|H|^2 = SNR * noise.
+        (..., n_rx, n_tx, n_taps) taps with E|h|^2 = SNR * noise.
 
     All links are drawn through one vectorized
     :meth:`ChannelModel.realize_taps` call (array-sized RNG draws rather
@@ -207,8 +224,7 @@ def build_channel_tensor(
     snr_db = np.asarray(snr_db, dtype=float)
     require(snr_db.ndim >= 2, "snr_db must be (..., n_rx, n_tx)")
     gains = db_to_linear(snr_db) * noise_power
-    taps = model.realize_taps(gains, rng=rng)
-    return taps_to_channel_tensor(taps, n_bins)
+    return model.realize_taps(gains, rng=rng)
 
 
 def joint_zf_sinr_db(

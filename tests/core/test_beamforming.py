@@ -111,6 +111,62 @@ class TestWidebandZeroForcing:
         assert isinstance(k0, float)
         assert k0 == zero_forcing_precoder_wideband(stack[0])[1]
 
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    @pytest.mark.parametrize("extra_antennas", [0, 2])
+    def test_flat_stack_solves_bin_0_and_matches_per_bin_loop(
+        self, n, extra_antennas, monkeypatch
+    ):
+        """Single-tap channels repeat one matrix on every bin: that matrix
+        is inverted once per stack entry, with the per-bin loop's bits."""
+        rng = np.random.default_rng(40 + n + extra_antennas)
+        channels = np.repeat(_complex_normal(rng, (3, 1, n, n + extra_antennas)), 12, axis=-3)
+        inverses_ref, k_ref = _per_bin_reference(channels)
+        shapes = _spy_on_solver(monkeypatch, extra_antennas)
+        precoders, k = zero_forcing_precoder_wideband(channels)
+        assert shapes == [(3, 1, n, n + extra_antennas)]
+        np.testing.assert_array_equal(k, k_ref)
+        np.testing.assert_array_equal(precoders, k_ref[:, None, None, None] * inverses_ref)
+        assert precoders.flags.c_contiguous
+        np.testing.assert_array_equal(zero_forcing_gain_wideband(channels), k_ref)
+
+    def test_mixed_stack_takes_full_path(self, monkeypatch):
+        """One frequency-selective entry sends the whole stack through the
+        per-bin solve; the flat entry's result is unchanged."""
+        rng = np.random.default_rng(50)
+        flat = np.repeat(_complex_normal(rng, (1, 1, 4, 4)), 12, axis=-3)
+        selective = _complex_normal(rng, (1, 12, 4, 4))
+        channels = np.concatenate([flat, selective])
+        inverses_ref, k_ref = _per_bin_reference(channels)
+        shapes = _spy_on_solver(monkeypatch, 0)
+        precoders, k = zero_forcing_precoder_wideband(channels)
+        assert shapes == [(2, 12, 4, 4)]
+        np.testing.assert_array_equal(k, k_ref)
+        np.testing.assert_array_equal(precoders, k_ref[:, None, None, None] * inverses_ref)
+        assert zero_forcing_gain_wideband(flat)[0] == k[0]
+
+    def test_last_bin_differing_takes_full_path(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        channels = np.repeat(_complex_normal(rng, (2, 1, 3, 3)), 12, axis=-3)
+        channels[1, -1, 2, 0] += 1e-9
+        inverses_ref, k_ref = _per_bin_reference(channels)
+        shapes = _spy_on_solver(monkeypatch, 0)
+        precoders, k = zero_forcing_precoder_wideband(channels)
+        assert shapes == [(2, 12, 3, 3)]
+        np.testing.assert_array_equal(k, k_ref)
+        np.testing.assert_array_equal(precoders, k_ref[:, None, None, None] * inverses_ref)
+
+    def test_singular_flat_tensor_raises(self):
+        h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            zero_forcing_precoder_wideband(np.repeat(h[None], 12, axis=0))
+
+    def test_rank_deficient_wide_flat_tensor_rejected(self):
+        """pinv "succeeds" on collinear clients; the right-inverse check on
+        the one solved bin still rejects the tensor."""
+        h = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            zero_forcing_gain_wideband(np.repeat(h[None], 12, axis=0))
+
     def test_wideband_k_at_least_worst_bin(self):
         """Averaging the constraint across bins can only help vs. the worst
         single bin's normalization."""
@@ -119,6 +175,34 @@ class TestWidebandZeroForcing:
         _, k_wide = zero_forcing_precoder_wideband(channels)
         k_worst = min(zero_forcing_precoder(channels[b])[1] for b in range(8))
         assert k_wide >= k_worst - 1e-12
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _per_bin_reference(channels):
+    """One inverse per (stack entry, bin) and the frame-wide k, by loop."""
+    n, n_tx = channels.shape[-2:]
+    inverses = np.empty(channels.shape[:-2] + (n_tx, n), dtype=complex)
+    for index in np.ndindex(channels.shape[:-2]):
+        solve = np.linalg.inv if n_tx == n else np.linalg.pinv
+        inverses[index] = solve(channels[index])
+    per_antenna = np.mean(np.sum(np.abs(inverses) ** 2, axis=-1), axis=-2)
+    return inverses, np.sqrt(1.0 / np.max(per_antenna, axis=-1))
+
+
+def _spy_on_solver(monkeypatch, extra_antennas):
+    """Record the shape of every stack handed to ``inv`` (or ``pinv``)."""
+    name = "inv" if extra_antennas == 0 else "pinv"
+    solver, shapes = getattr(np.linalg, name), []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return shapes
 
 
 class TestMisalignment:

@@ -79,6 +79,16 @@ class TestFig9And10:
         assert xs.size == fs.size > 0
         assert "median" in f10.format_table()
 
+    def test_cells_keep_the_screen_record(self):
+        r = run_fig9(n_aps=(2, 6), n_topologies=3)
+        for (band, n), cell in r.cells.items():
+            assert cell.screen.draws.shape == (3,)
+            assert cell.screen.exhausted.dtype == bool
+            assert np.all(cell.screen.penalty_db[~cell.screen.exhausted] <= 2.0)
+        assert r.screen_stats(6).draws.shape == (9,)
+        table = r.format_screen_table()
+        assert "exhausted" in table and len(table.splitlines()) == 4
+
     def test_megamimo_beats_baseline(self):
         r = run_fig9(n_aps=(4,), n_topologies=4)
         for band in ("high", "medium", "low"):
@@ -111,12 +121,12 @@ class TestFig12And13:
 class TestScreening:
     def test_penalty_scale_invariant(self):
         rng = np.random.default_rng(0)
-        (ch,) = draw_screened_channels(3, [rng], max_penalty_db=None)
+        (ch,), _ = draw_screened_channels(3, [rng], max_penalty_db=None)
         assert zf_penalty_db(ch) == pytest.approx(zf_penalty_db(ch * 7.0), abs=1e-9)
 
     def test_stacked_penalty_matches_per_topology(self):
         rngs = [np.random.default_rng(s) for s in range(3)]
-        stack = draw_screened_channels(4, rngs, max_penalty_db=None)
+        stack, _ = draw_screened_channels(4, rngs, max_penalty_db=None)
         penalties = zf_penalty_db(stack)
         assert penalties.shape == (3,)
         assert isinstance(zf_penalty_db(stack[0]), float)
@@ -124,15 +134,33 @@ class TestScreening:
 
     def test_screening_bounds_penalty(self):
         rngs = [np.random.default_rng(1 + s) for s in range(5)]
-        for ch in draw_screened_channels(4, rngs, max_penalty_db=3.0):
+        for ch in draw_screened_channels(4, rngs, max_penalty_db=3.0)[0]:
             assert zf_penalty_db(ch) <= 3.5  # best-effort fallback allowed
 
     def test_unscreened_often_worse(self):
         rng = np.random.default_rng(2)
         screened = np.mean(
-            [zf_penalty_db(draw_screened_channels(6, [rng], 2.0)[0]) for _ in range(10)]
+            [zf_penalty_db(draw_screened_channels(6, [rng], 2.0)[0][0]) for _ in range(10)]
         )
         raw = np.mean(
-            [zf_penalty_db(draw_screened_channels(6, [rng], None)[0]) for _ in range(10)]
+            [zf_penalty_db(draw_screened_channels(6, [rng], None)[0][0]) for _ in range(10)]
         )
         assert screened < raw
+
+    def test_stats_record_each_trials_screen(self):
+        rngs = [np.random.default_rng(10 + s) for s in range(6)]
+        channels, stats = draw_screened_channels(6, rngs, 2.0, max_attempts=5)
+        assert list(stats.penalty_db) == list(zf_penalty_db(channels))
+        assert np.all((stats.draws >= 1) & (stats.draws <= 5))
+        # an exhausted trial drew every attempt and kept a failing candidate;
+        # one trial here passes on its last attempt and is not exhausted
+        np.testing.assert_array_equal(stats.exhausted, stats.penalty_db > 2.0)
+        assert np.all(stats.draws[stats.exhausted] == 5)
+        assert np.sum(stats.draws == 5) > np.sum(stats.exhausted) > 0
+
+    def test_unscreened_draws_once(self):
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        channels, stats = draw_screened_channels(6, rngs, None)
+        assert list(stats.draws) == [1, 1, 1]
+        assert not stats.exhausted.any()
+        assert list(stats.penalty_db) == list(zf_penalty_db(channels))
